@@ -86,12 +86,24 @@ def _parse_sizes(text: str) -> list[int]:
 # -- subcommands --------------------------------------------------------------
 
 
+# verify profiles that take --trials; only sl2hank takes --point
+_TRIALS_PROFILES = ("sl2hank", "kronecker", "symplectic", "gw", "logcanon")
+
+
+def _check_verify_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject flags the chosen profile would ignore (exit status 2)."""
+    if args.trials is not None and args.profile not in _TRIALS_PROFILES:
+        parser.error(f"--trials does not apply to profile {args.profile!r}")
+    if args.point and args.profile != "sl2hank":
+        parser.error(f"--point applies only to profile 'sl2hank', not {args.profile!r}")
+
+
 def cmd_verify(args) -> int:
     seed = _seed_from(args)
     kwargs = {}
-    if args.trials is not None and args.profile in ("sl2hank", "kronecker", "symplectic", "gw", "logcanon"):
+    if args.trials is not None:
         kwargs["trials"] = args.trials
-    if args.point and args.profile == "sl2hank":
+    if args.point:
         kwargs["points"] = [ZastavaPoint.load(args.point)]
     rep = run_profile(args.profile, seed, **kwargs)
     _emit(rep.to_json(include_timing=not args.no_timing), args.output)
@@ -165,7 +177,7 @@ def cmd_cluster(args) -> int:
 
         assign = coordinate_assignment(pt)
         trace["values_at_point"] = {
-            lab: v.evaluate(assign) for lab, v in zip(current.labels, current.variables)
+            lab: x.value for lab, x in zip(current.labels, current.jets(assign, ()))
         }
     _emit(trace, args.output)
     return 0 if ok else 1
@@ -304,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify":
+        _check_verify_flags(parser, args)
     return args.fn(args)
 
 

@@ -6,6 +6,9 @@ between a position and its next recurrence and Cartan entries between
 interleaved positions.  For rank-one points the initial seed consists of
 the Hankel-minor functions of the series expansion, interleaved along the
 word (0,1)^a, with the last two positions frozen.
+
+Seeds are evaluated at points as exact jets (value and gradient); the
+symbolic chart functions are built only on request.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
+from .jet import Jet, det_jet, multirat_jet
 from .linalg import ExactMatrix, det
 from .multirat import MultiRat, Ring, series_coefficient_rat
 from .points import Tier, ZastavaPoint, coordinate_ring
 from .poisson import BracketTable
+
+JetEvaluator = Callable[[Mapping[str, Fraction], Sequence[str]], tuple[Jet, ...]]
 
 
 @dataclass(frozen=True)
@@ -114,17 +120,51 @@ def exchange_matrix(word: Sequence[int], cartan: Sequence[Sequence[int]]) -> Exc
     return ExchangeMatrix(l, columns, data)
 
 
-@dataclass(frozen=True)
 class Seed:
-    """Cluster variables (chart functions) with their exchange matrix."""
+    """Cluster variables (chart functions) with their exchange matrix.
 
-    labels: tuple[str, ...]
-    variables: tuple[MultiRat, ...]
-    matrix: ExchangeMatrix
+    Checks at sample points read the variables through ``jets``: exact
+    values and gradients at a point (see ``zastava.jet``).  The symbolic
+    chart functions (``MultiRat``) are ``variables``; they are given either
+    as a tuple or as a zero-argument function that builds the tuple the
+    first time ``variables`` is read.  ``initial_seed_sl2`` and ``mutate``
+    pass such a builder together with a closed-form ``jets`` evaluator, so
+    their seeds build no symbolic variables unless asked.  Without an
+    evaluator, jets are read off the terms of the variables.
+    """
 
-    def __post_init__(self):
-        if len(self.labels) != self.matrix.length or len(self.variables) != self.matrix.length:
+    def __init__(self, labels: Sequence[str],
+                 variables: Sequence[MultiRat] | Callable[[], Sequence[MultiRat]],
+                 matrix: ExchangeMatrix,
+                 jets: Optional[JetEvaluator] = None):
+        self.labels = tuple(labels)
+        self.matrix = matrix
+        if len(self.labels) != matrix.length:
             raise ValueError("one variable per word position required")
+        if callable(variables):
+            self._build, self._variables = variables, None
+        else:
+            self._build, self._variables = None, self._checked(variables)
+        self._jets = jets
+
+    def _checked(self, variables: Sequence[MultiRat]) -> tuple[MultiRat, ...]:
+        variables = tuple(variables)
+        if len(variables) != self.matrix.length:
+            raise ValueError("one variable per word position required")
+        return variables
+
+    @property
+    def variables(self) -> tuple[MultiRat, ...]:
+        if self._variables is None:
+            self._variables = self._checked(self._build())
+        return self._variables
+
+    def jets(self, point: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
+        """Each variable's exact value and gradient over ``coords`` at
+        ``point``; raises ZeroDivisionError where a variable is undefined."""
+        if self._jets is not None:
+            return self._jets(point, coords)
+        return tuple(multirat_jet(v, point, coords) for v in self.variables)
 
     @property
     def frozen(self) -> tuple[int, ...]:
@@ -142,25 +182,33 @@ class Seed:
 
 def mutate(seed: Seed, k: int) -> Seed:
     """Mutate at exchangeable position k: new matrix by the standard rule,
-    x_k replaced by the exchange binomial divided by x_k."""
+    x_k replaced by the exchange binomial divided by x_k.  The rule is
+    applied to jets at a point, or to the symbolic variables when those are
+    read."""
     if k not in seed.matrix.columns:
         raise ValueError(f"position {k} is frozen; mutation undefined")
     kc = seed.matrix.columns.index(k)
-    ring = seed.variables[0].ring
-    plus = ring.rat_const(1)
-    minus = ring.rat_const(1)
-    for j in range(1, seed.matrix.length + 1):
-        b = seed.matrix.data[j - 1][kc]
-        if b > 0:
-            plus = plus * seed.variable(j) ** b
-        elif b < 0:
-            minus = minus * seed.variable(j) ** (-b)
-    newvar = (plus + minus) / seed.variable(k)
-    variables = list(seed.variables)
-    variables[k - 1] = newvar
+    column = [row[kc] for row in seed.matrix.data]
+
+    def exchange(xs):
+        plus = minus = 1
+        for x, b in zip(xs, column):
+            if b > 0:
+                plus = plus * x**b
+            elif b < 0:
+                minus = minus * x ** (-b)
+        out = list(xs)
+        out[k - 1] = (plus + minus) / xs[k - 1]
+        return tuple(out)
+
     labels = list(seed.labels)
     labels[k - 1] = f"mu_{k}({seed.labels[k - 1]})"
-    return Seed(tuple(labels), tuple(variables), seed.matrix.mutate(k))
+    return Seed(
+        labels,
+        lambda: exchange(seed.variables),
+        seed.matrix.mutate(k),
+        jets=lambda point, coords: exchange(seed.jets(point, coords)),
+    )
 
 
 # -- rank-one initial seed ---------------------------------------------------
@@ -183,10 +231,37 @@ def hankel_variable(ring: Ring, a: int, family: str, m: int) -> MultiRat:
     return det(mat, strategy="cofactor")
 
 
+def hankel_jets(a: int, point: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
+    """Jets of [D_1, C_1, ..., D_a, C_a] at a point: the closed-form
+    c_j = sum_r y_r w_r^j / prod_{s != r}(w_r - w_s) pushed through the
+    size-m Hankel determinants (C offset 0, D offset 1)."""
+    n = len(coords)
+    ws = [Jet.coordinate(f"w1_{r}", point, coords) for r in range(1, a + 1)]
+    ys = [Jet.coordinate(f"y1_{r}", point, coords) for r in range(1, a + 1)]
+    weights = []
+    for r, w in enumerate(ws):
+        den = Jet.constant(1, n)
+        for s, other in enumerate(ws):
+            if s != r:
+                den = den * (w - other)
+        weights.append(ys[r] / den)
+    c = []
+    for _ in range(2 * a):
+        c.append(sum(weights[1:], weights[0]))
+        weights = [t * w for t, w in zip(weights, ws)]
+    out = []
+    for m in range(1, a + 1):
+        for offset in (1, 0):
+            out.append(det_jet([[c[j + k + offset] for k in range(m)] for j in range(m)], n))
+    return tuple(out)
+
+
 def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     """Seed for a rank-one point of degree a: variables
     [D_1, C_1, D_2, C_2, ..., D_a, C_a] along the word (0,1)^a, with the
-    last two positions frozen.
+    last two positions frozen.  Jets come from ``hankel_jets``; the
+    symbolic variables (``hankel_variable``, capped at 6x6 minors, so
+    a <= 6) are built only when read.
     """
     if point is not None:
         if not point.is_sl2 or point.degrees != (a,):
@@ -196,16 +271,22 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     word = (0, 1) * a
     cartan = [[2, -2], [-2, 2]]
     matrix = exchange_matrix(word, cartan)
-    ring = coordinate_ring((a,))
     labels = []
-    variables = []
     for m in range(1, a + 1):
         labels += [f"D_{m}", f"C_{m}"]
-        variables += [
-            hankel_variable(ring, a, "D", m),
-            hankel_variable(ring, a, "C", m),
-        ]
-    return Seed(tuple(labels), tuple(variables), matrix)
+
+    def build() -> list[MultiRat]:
+        ring = coordinate_ring((a,))
+        variables = []
+        for m in range(1, a + 1):
+            variables += [
+                hankel_variable(ring, a, "D", m),
+                hankel_variable(ring, a, "C", m),
+            ]
+        return variables
+
+    return Seed(labels, build, matrix,
+                jets=lambda pt, coords: hankel_jets(a, pt, coords))
 
 
 # -- log-canonicity ----------------------------------------------------------
@@ -230,42 +311,49 @@ def sample_chart_point(ring: Ring, a: int, rng: random.Random, positive: bool = 
 def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: Optional[random.Random] = None) -> dict:
     """Test {x, x'}/(x x') for constancy across random admissible points.
 
-    Partials are differentiated symbolically once; brackets are then
-    assembled from exact point values (avoiding large symbolic products).
-    PASS iff every pair's value set is a singleton.
+    At each accepted point every variable is taken once as a jet (exact
+    value and gradient over ``table.coordinates``, see ``Seed.jets``); the
+    bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi the coordinate
+    brackets evaluated at the point.  A point is rejected when a variable
+    is zero or undefined there.  PASS iff every pair's value set is a
+    singleton.
     """
     if rng is None:
         rng = random.Random(0)
     a = sum(table.degrees)
     coords = table.coordinates
-    partials = [{c: v.diff(c) for c in coords} for v in seed.variables]
-    rules = {
-        (u, v): table.coordinate_bracket(u, v)
-        for u, v in itertools.combinations(coords, 2)
-    }
-    points = []
-    while len(points) < trials:
+    rules = []
+    for (iu, u), (iv, v) in itertools.combinations(enumerate(coords), 2):
+        rule = table.coordinate_bracket(u, v)
+        if not rule.is_zero:
+            rules.append((iu, iv, rule))
+    index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
+    values: list[list[Fraction]] = [[] for _ in index_pairs]
+    accepted = 0
+    while accepted < trials:
         pt = sample_chart_point(table.ring, a, rng)
         try:
-            if any(v.evaluate(pt) == 0 for v in seed.variables):
-                continue
+            jets = seed.jets(pt, coords)
         except ZeroDivisionError:
             continue
-        points.append(pt)
+        if any(x.value == 0 for x in jets):
+            continue
+        accepted += 1
+        pis = [(iu, iv, rule.evaluate(pt)) for iu, iv, rule in rules]
+        # h = Pi^T grad(x), so that {x, x'} = h . grad(x')
+        hs = []
+        for x in jets:
+            h = [Fraction(0)] * len(coords)
+            for iu, iv, pi in pis:
+                h[iv] += pi * x.grad[iu]
+                h[iu] -= pi * x.grad[iv]
+            hs.append(h)
+        for vals, (i, j) in zip(values, index_pairs):
+            br = sum(p * q for p, q in zip(hs[i], jets[j].grad))
+            vals.append(br / (jets[i].value * jets[j].value))
     pairs = []
     ok = True
-    for i, j in itertools.combinations(range(len(seed.variables)), 2):
-        vals = []
-        for pt in points:
-            dvi = {c: partials[i][c].evaluate(pt) for c in coords}
-            dvj = {c: partials[j][c].evaluate(pt) for c in coords}
-            br = Fraction(0)
-            for (u, v), rule in rules.items():
-                if rule.is_zero:
-                    continue
-                br += rule.evaluate(pt) * (dvi[u] * dvj[v] - dvi[v] * dvj[u])
-            ratio = br / (seed.variables[i].evaluate(pt) * seed.variables[j].evaluate(pt))
-            vals.append(ratio)
+    for vals, (i, j) in zip(values, index_pairs):
         constant = len(set(vals)) == 1
         ok &= constant
         pairs.append(

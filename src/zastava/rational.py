@@ -2,13 +2,12 @@
 
 All numeric values in this package are `fractions.Fraction` instances; this
 module only adds the string round-trip used by every JSON surface ("p/q",
-denominator omitted when 1) and a couple of small helpers.
+denominator omitted when 1) and a small sign helper.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 Scalar = Fraction
 
@@ -25,10 +24,6 @@ def parse_scalar(s: str | int) -> Fraction:
 def format_scalar(x: Fraction) -> str:
     """Render a Fraction as "p/q" (just "p" when the denominator is 1)."""
     return str(x)
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b) if a and b else 0
 
 
 def sign(x: Fraction) -> int:

@@ -101,8 +101,12 @@ def random_sl2_point(a: int, rng: random.Random) -> ZastavaPoint:
 
 
 def random_point_assignment(degrees: Sequence[int], rng: random.Random) -> dict[str, Fraction]:
-    """Admissible chart assignment: globally distinct nonzero w, nonzero y."""
-    while True:
+    """Admissible chart assignment: globally distinct nonzero w, nonzero y.
+
+    Raises RuntimeError after 1000 rejected draws, e.g. when the degrees
+    sum to more than the 40 distinct w values the sampler can produce.
+    """
+    for _ in range(1000):
         out: dict[str, Fraction] = {}
         allw = []
         ok = True
@@ -117,6 +121,7 @@ def random_point_assignment(degrees: Sequence[int], rng: random.Random) -> dict[
                 allw.append(wv)
         if ok and len(set(allw)) == len(allw):
             return out
+    raise RuntimeError("sampling exhaustion")
 
 
 # -- profiles -----------------------------------------------------------------
@@ -254,7 +259,7 @@ def run_gw(rng: random.Random, trials: int = 50, max_a: int = 4) -> Verification
     return rep
 
 
-def run_logcanon(rng: random.Random, degrees: Sequence[int] = (2, 3), trials: int = 5) -> VerificationReport:
+def run_logcanon(rng: random.Random, degrees: Sequence[int] = (2, 3, 4, 5, 6), trials: int = 5) -> VerificationReport:
     rep = VerificationReport("logcanon", rng_seed=-1)
     for a in degrees:
         def check(a=a):

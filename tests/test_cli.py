@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 from zastava.cli import main, parse_poly
 from zastava.unipoly import UniPoly
-from zastava.verify import run_profile
+from zastava.verify import random_point_assignment, run_profile
 
 
 def _run(argv, capsys):
@@ -131,6 +132,32 @@ def test_cluster_command(tmp_path, capsys):
          "--trials", "3"], capsys
     )
     assert code == 1 and not json.loads(out)["log_canonical"]["ok"]
+
+
+def test_cluster_log_canonical_beyond_symbolic_cap(capsys):
+    code, out = _run(
+        ["cluster", "--a", "7", "--check", "log-canonical", "--trials", "3"], capsys
+    )
+    data = json.loads(out)
+    assert code == 0 and data["log_canonical"]["ok"]
+    assert data["labels"][-2:] == ["D_7", "C_7"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--profile", "jacobi", "--trials", "3"], "--trials"),
+    (["--profile", "gw", "--point", "pt.json"], "--point"),
+])
+def test_verify_rejects_ignored_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_point_assignment_sampler_exhaustion():
+    # 41 roots cannot be distinct: the sampler draws from 40 nonzero w values
+    with pytest.raises(RuntimeError, match="sampling exhaustion"):
+        random_point_assignment((41,), random.Random(0))
 
 
 def test_super_command(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from zastava import cluster
 from zastava.cluster import (
     ExchangeMatrix,
     Seed,
@@ -13,6 +16,7 @@ from zastava.cluster import (
     mutate,
     sample_chart_point,
 )
+from zastava.jet import Jet
 from zastava.points import ZastavaPoint, coordinate_assignment, coordinate_ring, from_coords
 from zastava.poisson import BracketTable
 from zastava.rootdata import datum
@@ -170,3 +174,77 @@ def test_exchange_matrix_validation():
         ExchangeMatrix(2, (1,), ((0,),))
     with pytest.raises(ValueError):
         ExchangeMatrix(1, (1,), ((0, 1),))
+
+
+def test_jets_match_symbolic_oracle():
+    """Closed-form jets equal value and symbolic partials of each variable."""
+    for a in (2, 3):
+        seed = initial_seed_sl2(None, a)
+        coords = BracketTable(A1, (a,), "trigonometric").coordinates
+        partials = [[v.diff(c) for c in coords] for v in seed.variables]
+        rng = random.Random(30 + a)
+        for _ in range(3):
+            pt = sample_chart_point(seed.variables[0].ring, a, rng)
+            for v, dv, x in zip(seed.variables, partials, seed.jets(pt, coords)):
+                assert x.value == v.evaluate(pt)
+                assert list(x.grad) == [d.evaluate(pt) for d in dv]
+
+
+def _recorded_seeds():
+    seed = initial_seed_sl2(None, 2)
+    ring = seed.variables[0].ring
+    bad = ring.rat_var("w1_1") + ring.rat_const(1)
+    return {
+        "initial": seed,
+        "mu_2": mutate(seed, 2),
+        "mu_1,2": mutate(mutate(seed, 1), 2),
+        "spoiled": Seed(seed.labels, (bad,) + seed.variables[1:], seed.matrix),
+    }
+
+
+def test_log_canonicity_matches_symbolic_route(monkeypatch):
+    """Same points drawn, same values and verdicts as the symbolic route
+    (diff, then evaluate every partial) recorded at a=2."""
+    doc = json.loads((Path(__file__).parent / "data" / "logcanon_symbolic_a2.json").read_text())
+    seeds = _recorded_seeds()
+    table = BracketTable(A1, (2,), "trigonometric")
+    for case in doc["cases"]:
+        drawn = []
+
+        def spy(*args, _sample=sample_chart_point, **kwargs):
+            pt = _sample(*args, **kwargs)
+            drawn.append({k: str(v) for k, v in pt.items()})
+            return pt
+
+        monkeypatch.setattr(cluster, "sample_chart_point", spy)
+        rng = random.Random(case["rng"])
+        rep = log_canonicity_check(seeds[case["seed"]], table, trials=5, rng=rng)
+        assert drawn == case["drawn"]
+        assert rng.getrandbits(32) == case["next_bits"]
+        assert (rep["ok"], rep["trials"]) == (case["ok"], case["trials"])
+        got = [
+            {"pair": list(p["pair"]), "values": [str(v) for v in p["values"]],
+             "constant": p["constant"]}
+            for p in rep["pairs"]
+        ]
+        assert got == case["pairs"]
+
+
+@pytest.mark.parametrize("a", [2, 3, 5])
+def test_log_canonicity_negative_control_closed_form(a):
+    """A closed-form jet multiplied by the jet of (1 + w1_1) must fail."""
+    good = initial_seed_sl2(None, a)
+
+    def bent(point, coords):
+        jets = list(good.jets(point, coords))
+        jets[0] = jets[0] * (1 + Jet.coordinate("w1_1", point, coords))
+        return tuple(jets)
+
+    bad = Seed(good.labels, lambda: (), good.matrix, jets=bent)
+    table = BracketTable(A1, (a,), "trigonometric")
+    assert log_canonicity_check(good, table, trials=3, rng=random.Random(a))["ok"]
+    rep = log_canonicity_check(bad, table, trials=3, rng=random.Random(a))
+    assert not rep["ok"]
+    broken = {p["pair"] for p in rep["pairs"] if not p["constant"]}
+    assert broken and all("D_1" in pair for pair in broken)
+
