@@ -18,7 +18,6 @@ from .minors import (
     generalized_minor_v0,
     generalized_minor_v1,
     wedge_entry,
-    wedge_window,
 )
 from .multirat import MultiPoly, MultiRat, Ring, series_coefficient_rat
 from .points import (
@@ -49,7 +48,7 @@ from .cluster import (
     log_canonicity_check,
     mutate,
 )
-from .rootdata import AffineWeyl, RootDatum, WeylWord, datum, translation_word
+from .rootdata import RootDatum, datum
 from .series import InfSeries, series_expand
 from .superpotential import SuperData, SuperValue, eval_gw, positivity_sample, verify_gw_w
 from .unipoly import UniPoly, lagrange_interpolate, poly_divmod, poly_gcd, rational_roots

@@ -86,16 +86,28 @@ def _parse_sizes(text: str) -> list[int]:
 # -- subcommands --------------------------------------------------------------
 
 
-# verify profiles that take --trials; only sl2hank takes --point
+# verify profiles and poisson checks that take --trials; only the
+# sl2hank profile takes --point
 _TRIALS_PROFILES = ("sl2hank", "kronecker", "symplectic", "gw", "logcanon")
+_TRIALS_CHECKS = ("symplectic",)
 
 
-def _check_verify_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Reject flags the chosen profile would ignore (exit status 2)."""
-    if args.trials is not None and args.profile not in _TRIALS_PROFILES:
-        parser.error(f"--trials does not apply to profile {args.profile!r}")
-    if args.point and args.profile != "sl2hank":
-        parser.error(f"--point applies only to profile 'sl2hank', not {args.profile!r}")
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject flags the chosen verify profile or poisson check would
+    ignore, and a poisson check the chosen kind does not define (exit
+    status 2)."""
+    if args.command == "verify":
+        what, name, takes_trials = "profile", args.profile, _TRIALS_PROFILES
+        if args.point and name != "sl2hank":
+            parser.error(f"--point applies only to profile 'sl2hank', not {name!r}")
+    elif args.command == "poisson":
+        what, name, takes_trials = "check", args.check, _TRIALS_CHECKS
+        if name == "symplectic" and args.kind == "rational":
+            parser.error("symplectic check is defined for the trigonometric kind")
+    else:
+        return
+    if args.trials is not None and name not in takes_trials:
+        parser.error(f"--trials does not apply to {what} {name!r}")
 
 
 def cmd_verify(args) -> int:
@@ -125,9 +137,7 @@ def cmd_poisson(args) -> int:
         res = jacobi_report(BracketTable(dat, degrees, kind))
     elif args.check == "descent":
         res = verify_descent(dat, degrees, kind)
-    elif args.check == "symplectic":
-        if kind != "trigonometric":
-            raise SystemExit("symplectic check is defined for the trigonometric kind")
+    else:  # symplectic
         rng = random.Random(_seed_from(args))
         res = {"ok": True, "points": []}
         for _ in range(args.trials or 5):
@@ -135,8 +145,6 @@ def cmd_poisson(args) -> int:
             one = symplectic_check_trig(dat, degrees, pt)
             res["points"].append({"point": pt, "ok": one["ok"]})
             res["ok"] &= one["ok"]
-    else:
-        raise SystemExit(f"unknown check {args.check!r}")
     _emit(res, args.output)
     return 0 if res["ok"] else 1
 
@@ -318,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        _check_verify_flags(parser, args)
+    _check_flags(parser, args)
     return args.fn(args)
 
 

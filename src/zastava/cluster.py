@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .jet import Jet, det_jet, multirat_jet
-from .linalg import ExactMatrix, det
+from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
 from .multirat import MultiRat, Ring, series_coefficient_rat
 from .points import Tier, ZastavaPoint, coordinate_ring
 from .poisson import BracketTable
@@ -259,9 +259,11 @@ def hankel_jets(a: int, point: Mapping[str, Fraction], coords: Sequence[str]) ->
 def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     """Seed for a rank-one point of degree a: variables
     [D_1, C_1, D_2, C_2, ..., D_a, C_a] along the word (0,1)^a, with the
-    last two positions frozen.  Jets come from ``hankel_jets``; the
-    symbolic variables (``hankel_variable``, capped at 6x6 minors, so
-    a <= 6) are built only when read.
+    last two positions frozen.  (0,1)^a is the reduced word of the
+    translation t_a in the affine Weyl group of type A1 (length 2a).  Jets
+    come from ``hankel_jets``; the symbolic variables (``hankel_variable``)
+    are built only when read, and reading them raises ValueError when a
+    exceeds SYMBOLIC_COFACTOR_CAP, before any minor is built.
     """
     if point is not None:
         if not point.is_sl2 or point.degrees != (a,):
@@ -276,6 +278,11 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
         labels += [f"D_{m}", f"C_{m}"]
 
     def build() -> list[MultiRat]:
+        if a > SYMBOLIC_COFACTOR_CAP:
+            raise ValueError(
+                f"symbolic seed variables need {a}x{a} minors, above "
+                f"SYMBOLIC_COFACTOR_CAP = {SYMBOLIC_COFACTOR_CAP}"
+            )
         ring = coordinate_ring((a,))
         variables = []
         for m in range(1, a + 1):

@@ -17,16 +17,16 @@ from typing import Callable, Sequence
 from .series import InfSeries
 from .unipoly import UniPoly
 
-Entry = object  # Fraction in numeric mode, MultiRat in symbolic mode
-
 SYMBOLIC_COFACTOR_CAP = 6
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    entries: tuple[tuple[Entry, ...], ...]
+    """Matrix of exact entries: Fractions, or MultiRats in symbolic mode."""
 
-    def __init__(self, rows: Sequence[Sequence[Entry]]):
+    entries: tuple[tuple[object, ...], ...]
+
+    def __init__(self, rows: Sequence[Sequence[object]]):
         tup = tuple(tuple(r) for r in rows)
         if tup and any(len(r) != len(tup[0]) for r in tup):
             raise ValueError("ragged rows")
@@ -44,7 +44,7 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, rc: tuple[int, int]) -> Entry:
+    def __getitem__(self, rc: tuple[int, int]) -> object:
         return self.entries[rc[0]][rc[1]]
 
     @staticmethod
@@ -102,14 +102,14 @@ def _det_bareiss(m: ExactMatrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], denlcm**n)
 
 
-def _det_cofactor(m: ExactMatrix) -> Entry:
+def _det_cofactor(m: ExactMatrix) -> object:
     """Cofactor expansion memoized over column subsets; entry-type generic."""
     n = m.rows
     if n == 0:
         return Fraction(1)
-    cache: dict[tuple[int, ...], Entry] = {}
+    cache: dict[tuple[int, ...], object] = {}
 
-    def minor(row: int, cols: tuple[int, ...]) -> Entry:
+    def minor(row: int, cols: tuple[int, ...]) -> object:
         if len(cols) == 1:
             return m.entries[row][cols[0]]
         if row == m.rows - len(cols) and cols in cache:
@@ -157,14 +157,14 @@ def _det_division_free(m: ExactMatrix) -> Fraction:
     return d if n % 2 else -d
 
 
-_STRATEGIES: dict[str, Callable[[ExactMatrix], Entry]] = {
+_STRATEGIES: dict[str, Callable[[ExactMatrix], object]] = {
     "bareiss": _det_bareiss,
     "cofactor": _det_cofactor,
     "division_free": _det_division_free,
 }
 
 
-def det(m: ExactMatrix, strategy: str = "bareiss") -> Entry:
+def det(m: ExactMatrix, strategy: str = "bareiss") -> object:
     """Exact determinant; ``strategy`` in {bareiss, cofactor, division_free}.
 
     Matrices with symbolic (MultiRat) entries must use the cofactor

@@ -3,28 +3,31 @@
 The 2x2 Laurent matrix g = z^(-a) (F, D; R, Q) acts on a Z-indexed space
 with basis vectors labeled j = 2k + r (r in {1, 2}); the matrix entry in
 row j' = 2k' + r', column j = 2k + r is the (r', r) entry of the Laurent
-coefficient A_{k - k'} of g.  Finite windows of this matrix have
-determinants equal, up to sign, to the Hankel minors of the series
-expansion of R/Q at infinity.  The row/column index patterns realizing the
-two Hankel families are fixed once, empirically, against the Hankel
-oracle at small degrees; the selection hard-fails if the candidates do
-not separate cleanly.
+coefficient A_{k - k'} of g.  Two families of finite windows of this
+matrix give the Hankel minors of the series expansion of R/Q at infinity
+in closed form: C_r = det(_window_C(r)) and D_r = (-1)^r det(_window_D(r)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .linalg import ExactMatrix, det, hankel_minor_C, hankel_minor_D
+from .linalg import (
+    ExactMatrix,
+    det,
+    hankel_minor_C,
+    hankel_minor_D,
+    subresultant_even,
+    subresultant_odd,
+)
 from .points import GMatrix, g_matrix
 from .series import series_expand
 from .unipoly import UniPoly
 
 
 def wedge_entry(g: GMatrix, row: int, col: int) -> Fraction:
-    """Entry of the infinite matrix at basis labels (row, col).
+    """The entry of the infinite matrix at basis labels (row, col).
 
     A label j encodes (k, r) with j = 2k + r and r in {1, 2}; the entry is
     (A_{k - k'})_{r', r} for row label j' and column label j.
@@ -52,141 +55,35 @@ class WedgeWindow:
             [[wedge_entry(g, rj, cj) for cj in self.cols] for rj in self.rows]
         )
 
-    def determinant(self, g: GMatrix, strategy: str = "bareiss") -> Fraction:
-        return det(self.matrix(g), strategy=strategy)
+    def determinant(self, g: GMatrix) -> Fraction:
+        return det(self.matrix(g))
 
 
-def wedge_window(g: GMatrix, lo: int, hi: int) -> ExactMatrix:
-    """Contiguous square window of the infinite matrix over labels lo..hi."""
-    labels = tuple(range(lo, hi + 1))
-    return WedgeWindow(labels, labels).matrix(g)
-
-
-# -- candidate index patterns ----------------------------------------------
+# -- the two windows -------------------------------------------------------
 #
-# Each candidate maps a minor size r >= 1 to a window.  Row labels run over
-# even labels in an interval around 0; the two families differ in whether
-# the column set is the plain tail {0, -1, ..., -2r+1} or that tail with
-# the label 2 adjoined (displacing the deepest tail label).
+# Rows run over the even labels in an interval around 0.  The C window's
+# columns are the tail {0, -1, ..., -2r+1}; the D window adjoins label 2 and
+# one more even row.  Their determinants are the Hankel minors with fixed
+# signs: C_r = +det(_window_C(r)) and D_r = (-1)^r det(_window_D(r)).  Both
+# signs were checked against hankel_minor_C/D for every r <= a at degrees
+# a = 1..8 (tests/test_minors.py pins them).
 
 
-def _pattern_plain(r: int) -> WedgeWindow:
+def _window_C(r: int) -> WedgeWindow:
     rows = tuple(range(-2 * r + 2, 2 * r + 1, 2))
     cols = tuple([0] + [-t for t in range(1, 2 * r)])
     return WedgeWindow(rows, cols)
 
 
-def _pattern_adjoined(r: int) -> WedgeWindow:
+def _window_D(r: int) -> WedgeWindow:
     rows = tuple(range(-2 * r + 2, 2 * r + 3, 2))
     cols = tuple([2, 0] + [-t for t in range(1, 2 * r)])
     return WedgeWindow(rows, cols)
 
 
-_CANDIDATES: dict[str, Callable[[int], WedgeWindow]] = {
-    "plain": _pattern_plain,
-    "adjoined": _pattern_adjoined,
-}
-
-
-def _calibration_points() -> list[tuple[UniPoly, UniPoly]]:
-    return [
-        (UniPoly.from_roots([Fraction(2)]), UniPoly.const(3)),
-        (UniPoly.from_roots([Fraction(1), Fraction(3)]), UniPoly([1, 1])),
-        (UniPoly.from_roots([Fraction(2), Fraction(5)]), UniPoly([3, -1])),
-        (UniPoly.from_roots([Fraction(1), Fraction(2), Fraction(4)]), UniPoly([1, 1, 1])),
-    ]
-
-
-def _match_family(pattern: Callable[[int], WedgeWindow]) -> tuple[str, dict[int, int]] | None:
-    """Identify which Hankel family a pattern computes, with signs.
-
-    Returns (family, {r: sign}) where family is "C" or "D" and the signs
-    are per minor size, or None when no single family matches on every
-    calibration point (including a nonzero-where-oracle-nonzero check).
-    """
-    verdicts: dict[str, dict[int, int]] = {"C": {}, "D": {}}
-    alive = {"C", "D"}
-    for Q, R in _calibration_points():
-        a = Q.degree
-        g = _g_for_minors(Q, R)
-        c = series_expand(R, Q, 2 * a + 1)
-        for r in range(1, a + 1):
-            val = pattern(r).determinant(g)
-            for fam, oracle in (("C", hankel_minor_C), ("D", hankel_minor_D)):
-                if fam not in alive:
-                    continue
-                ref = oracle(c, r)
-                if ref == 0 or val == 0:
-                    if ref != val:
-                        alive.discard(fam)
-                    continue
-                s = 1 if val == ref else (-1 if val == -ref else 0)
-                if s == 0 or verdicts[fam].setdefault(r, s) != s:
-                    alive.discard(fam)
-    if len(alive) != 1:
-        return None
-    fam = alive.pop()
-    return fam, verdicts[fam]
-
-
-def resolve_patterns() -> dict[str, dict]:
-    """Calibrate every candidate pattern against the Hankel oracle.
-
-    Hard-fails unless exactly one candidate lands on each family with a
-    sign that depends only on the minor size.
-    """
-    table: dict[str, dict] = {}
-    claimed: dict[str, str] = {}
-    for name, pat in _CANDIDATES.items():
-        res = _match_family(pat)
-        if res is None:
-            continue
-        fam, signs = res
-        if fam in claimed:
-            raise RuntimeError(
-                f"ambiguous pattern calibration: {claimed[fam]} and {name} "
-                f"both match family {fam}"
-            )
-        claimed[fam] = name
-        table[name] = {"family": fam, "signs": signs}
-    if set(claimed) != {"C", "D"}:
-        raise RuntimeError(
-            f"pattern calibration incomplete: matched families {sorted(claimed)}"
-        )
-    return table
-
-
-_RESOLVED: dict[str, dict] | None = None
-
-
-def _resolved() -> dict[str, dict]:
-    global _RESOLVED
-    if _RESOLVED is None:
-        _RESOLVED = resolve_patterns()
-    return _RESOLVED
-
-
-def _family_pattern(fam: str) -> tuple[Callable[[int], WedgeWindow], dict[int, int]]:
-    for name, info in _resolved().items():
-        if info["family"] == fam:
-            return _CANDIDATES[name], info["signs"]
-    raise RuntimeError(f"no pattern for family {fam}")
-
-
-def _sign_for(signs: dict[int, int], r: int) -> int:
-    if r in signs:
-        return signs[r]
-    # calibration covers sizes 1..2; larger sizes reuse the pattern of the
-    # calibrated parity if it is constant there, else the nearest size.
-    same_parity = [s for k, s in sorted(signs.items()) if k % 2 == r % 2]
-    if same_parity and all(s == same_parity[0] for s in same_parity):
-        return same_parity[0]
-    return signs[max(signs)]
-
-
 def _g_for_minors(Q: UniPoly, R: UniPoly) -> GMatrix:
     """g(Q, R) when the completion exists; otherwise a stand-in with zero
-    F, D rows.  The marked windows below only read rows with even labels,
+    F, D rows.  The two windows only read rows with even labels,
     which carry R/Q coefficients, so boundary points (gcd != 1 or
     Q(0) = 0) still have well-defined minors."""
     try:
@@ -201,37 +98,37 @@ def _point_qr(point) -> tuple[UniPoly, UniPoly]:
     return point.Q[0], point.R[0]
 
 
-def generalized_minor_v1(point, r: int, strategy: str = "bareiss") -> Fraction:
+def generalized_minor_v1(point, r: int) -> Fraction:
     """The index-r wedge minor equal to the Hankel minor C_r."""
     Q, R = _point_qr(point)
-    pat, signs = _family_pattern("C")
-    raw = pat(r).determinant(_g_for_minors(Q, R), strategy=strategy)
-    return _sign_for(signs, r) * raw
+    return _window_C(r).determinant(_g_for_minors(Q, R))
 
 
-def generalized_minor_v0(point, r: int, strategy: str = "bareiss") -> Fraction:
+def generalized_minor_v0(point, r: int) -> Fraction:
     """The index-r wedge minor equal to the Hankel minor D_r."""
     Q, R = _point_qr(point)
-    pat, signs = _family_pattern("D")
-    raw = pat(r).determinant(_g_for_minors(Q, R), strategy=strategy)
-    return _sign_for(signs, r) * raw
+    return (-1) ** r * _window_D(r).determinant(_g_for_minors(Q, R))
 
 
 def crosscheck_three_routes(point) -> dict:
     """Compare Hankel, sub-resultant, and wedge values for one point.
 
-    Returns per-index records for both families with the three values,
-    the wedge/Hankel and sub-resultant/Hankel sign factors, and a global
-    agreement flag (all magnitudes equal, signs stable per index).
+    Returns per-index records for both families (C_1..C_a, then
+    D_1..D_{a-1}) with the three values, the raw window determinant as the
+    wedge value, the wedge/Hankel and sub-resultant/Hankel sign factors,
+    and a global agreement flag (all magnitudes equal, signs stable per
+    index).
     """
-    from .linalg import subresultant_even, subresultant_odd
-
     Q, R = _point_qr(point)
     a = Q.degree
     c = series_expand(R, Q, 2 * a + 1)
     g = _g_for_minors(Q, R)
-    patC, signsC = _family_pattern("C")
-    patD, signsD = _family_pattern("D")
+    families = (
+        ("C", range(1, a + 1), hankel_minor_C, _window_C,
+         lambda r: subresultant_odd(Q, R, a - r)),
+        ("D", range(1, a), hankel_minor_D, _window_D,
+         lambda r: subresultant_even(Q, R, a - r - 1)),
+    )
     records = []
     ok = True
 
@@ -241,34 +138,20 @@ def crosscheck_three_routes(point) -> dict:
         q = x / ref
         return int(q) if q in (1, -1) else "mismatch"
 
-    for r in range(1, a + 1):
-        hank = hankel_minor_C(c, r)
-        wedge = patC(r).determinant(g)
-        subr = subresultant_odd(Q, R, a - r)
-        rec = {
-            "family": "C",
-            "index": r,
-            "hankel": hank,
-            "wedge": wedge,
-            "subresultant": subr,
-            "wedge_sign": ratio(wedge, hank),
-            "subresultant_sign": ratio(subr, hank),
-        }
-        ok &= rec["wedge_sign"] != "mismatch" and rec["subresultant_sign"] != "mismatch"
-        records.append(rec)
-    for r in range(1, a):
-        hank = hankel_minor_D(c, r)
-        wedge = patD(r).determinant(g)
-        subr = subresultant_even(Q, R, a - r - 1)
-        rec = {
-            "family": "D",
-            "index": r,
-            "hankel": hank,
-            "wedge": wedge,
-            "subresultant": subr,
-            "wedge_sign": ratio(wedge, hank),
-            "subresultant_sign": ratio(subr, hank),
-        }
-        ok &= rec["wedge_sign"] != "mismatch" and rec["subresultant_sign"] != "mismatch"
-        records.append(rec)
+    for family, indices, hankel_minor, window, subresultant in families:
+        for r in indices:
+            hank = hankel_minor(c, r)
+            wedge = window(r).determinant(g)
+            subr = subresultant(r)
+            rec = {
+                "family": family,
+                "index": r,
+                "hankel": hank,
+                "wedge": wedge,
+                "subresultant": subr,
+                "wedge_sign": ratio(wedge, hank),
+                "subresultant_sign": ratio(subr, hank),
+            }
+            ok &= rec["wedge_sign"] != "mismatch" and rec["subresultant_sign"] != "mismatch"
+            records.append(rec)
     return {"agree": bool(ok), "records": records}

@@ -222,11 +222,6 @@ class GMatrix:
     R: UniPoly
     Q: UniPoly
 
-    def laurent_entry(self, r: int, c: int) -> dict[int, Fraction]:
-        """Entry (r, c) in {1,2}^2 as {exponent: coefficient}."""
-        p = {(1, 1): self.F, (1, 2): self.D, (2, 1): self.R, (2, 2): self.Q}[(r, c)]
-        return {k - self.a: v for k, v in enumerate(p.coeffs) if v != 0}
-
     def coeff_matrix(self, m: int) -> tuple[tuple[Fraction, Fraction], ...]:
         """The 2x2 coefficient A_m of z^m, nonzero only for -a <= m <= 0."""
         t = m + self.a

@@ -192,12 +192,9 @@ def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict)
     allw = [point[f"w{i}_{r}"] for i, a in enumerate(degrees, start=1) for r in range(1, a + 1)]
     if len(set(allw)) != len(allw):
         raise ValueError("coincident w across colors (form has a pole)")
-    coords = table.coordinates
-    n = len(coords)
-    B = [
-        [table.coordinate_bracket(a, b).evaluate(point) for b in coords]
-        for a in coords
-    ]
+    n = len(table.coordinates)
+    B_sym = bivector_matrix(table)
+    B = [[B_sym[i, j].evaluate(point) for j in range(n)] for i in range(n)]
     Om_sym = symplectic_form_trig(table)
     Om = [[Om_sym[i, j].evaluate(point) for j in range(n)] for i in range(n)]
     bad = []

@@ -1,5 +1,4 @@
-"""Cartan data for classical finite types and their untwisted affinizations,
-plus reduced words for translation elements of the affine Weyl group.
+"""Cartan data for classical finite types and their untwisted affinizations.
 
 The pairing matrix is P = diag(d) * C, with the symmetrizer d normalized so
 the smallest diagonal entry of P is 2.  Affine Cartan matrices are computed
@@ -186,201 +185,3 @@ def affinize(fin: RootDatum) -> RootDatum:
         affine=True,
         finite=fin,
     )
-
-
-@dataclass(frozen=True)
-class WeylWord:
-    letters: tuple[int, ...]  # indices into I_a; 0 is the affine node
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-class _AffineElement:
-    """Element of W ltimes Q^vee as x -> u(x) + nu.
-
-    ``mroot``/``mcoroot`` are the matrices of u on the root and coroot
-    lattices (simple-root / simple-coroot bases); ``nu`` is the translation
-    part in the coroot basis.
-    """
-
-    def __init__(self, mroot, mcoroot, nu):
-        self.mroot = mroot
-        self.mcoroot = mcoroot
-        self.nu = tuple(nu)
-
-    @staticmethod
-    def identity(n: int) -> "_AffineElement":
-        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return _AffineElement(eye, eye, (0,) * n)
-
-    def is_identity(self) -> bool:
-        n = len(self.nu)
-        return all(x == 0 for x in self.nu) and all(
-            self.mroot[i][j] == int(i == j) for i in range(n) for j in range(n)
-        )
-
-
-def _mat_apply(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-class AffineWeyl:
-    """The affine Weyl group of a finite root datum, realized on the coroot
-    lattice with s_0 = t_{theta^vee} s_theta."""
-
-    def __init__(self, fin: RootDatum):
-        self.fin = fin
-        n = fin.rank
-        c = fin.cartan
-        self.n = n
-        self.theta = _highest_root(c)
-        dtheta = sum(
-            self.theta[k] * self.theta[l] * fin.d[k] * c[k][l]
-            for k in range(n)
-            for l in range(n)
-        ) / 2
-        # theta^vee in the coroot basis
-        self.theta_covec = tuple(
-            Fraction(self.theta[k]) * fin.d[k] / dtheta for k in range(n)
-        )
-        if any(x.denominator != 1 for x in self.theta_covec):
-            raise ValueError("theta^vee is not in the coroot lattice")
-        self.theta_covec = tuple(int(x) for x in self.theta_covec)
-        # reflection matrices for the finite generators
-        self._sroot = []
-        self._scoroot = []
-        for i in range(n):
-            sr = [[int(a == b) for b in range(n)] for a in range(n)]
-            sc = [[int(a == b) for b in range(n)] for a in range(n)]
-            for j in range(n):
-                sr[i][j] -= c[i][j]  # action on root coordinates
-                sc[i][j] -= c[j][i]  # action on coroot coordinates
-            self._sroot.append(tuple(map(tuple, sr)))
-            self._scoroot.append(tuple(map(tuple, sc)))
-        # s_theta on both lattices, built from a reduced word for it
-        self._stheta_root, self._stheta_coroot = self._reflection_matrices(self.theta)
-
-    def _reflection_matrices(self, alpha):
-        n = self.n
-        c = self.fin.cartan
-        d = self.fin.d
-        dalpha = (
-            sum(alpha[k] * alpha[l] * d[k] * c[k][l] for k in range(n) for l in range(n))
-            / 2
-        )
-        alpha_covec = [Fraction(alpha[k]) * d[k] / dalpha for k in range(n)]
-        mroot = [[Fraction(0)] * n for _ in range(n)]
-        mcoroot = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            # s_alpha(alpha_j) = alpha_j - <alpha^vee, alpha_j> alpha
-            pair = sum(alpha_covec[k] * c[k][j] for k in range(n))
-            for i in range(n):
-                mroot[i][j] = Fraction(int(i == j)) - pair * alpha[i]
-            # s_alpha(alpha_j^vee) = alpha_j^vee - <alpha_j^vee, alpha> alpha^vee
-            pairc = sum(c[j][k] * alpha[k] for k in range(n))
-            for i in range(n):
-                mcoroot[i][j] = Fraction(int(i == j)) - pairc * alpha_covec[i]
-        return (
-            tuple(tuple(row) for row in mroot),
-            tuple(tuple(row) for row in mcoroot),
-        )
-
-    # -- group operations ------------------------------------------------
-
-    def identity(self) -> _AffineElement:
-        return _AffineElement.identity(self.n)
-
-    def translation(self, lam: Sequence[int]) -> _AffineElement:
-        e = self.identity()
-        return _AffineElement(e.mroot, e.mcoroot, tuple(lam))
-
-    def right_multiply_simple(self, g: _AffineElement, i: int) -> _AffineElement:
-        """g * s_i where i in {0, 1..n} (0 = affine node)."""
-        if i == 0:
-            nu = tuple(
-                g.nu[k] + _mat_apply(g.mcoroot, self.theta_covec)[k]
-                for k in range(self.n)
-            )
-            return _AffineElement(
-                _mat_mul(g.mroot, self._stheta_root),
-                _mat_mul(g.mcoroot, self._stheta_coroot),
-                nu,
-            )
-        j = i - 1
-        return _AffineElement(
-            _mat_mul(g.mroot, self._sroot[j]),
-            _mat_mul(g.mcoroot, self._scoroot[j]),
-            g.nu,
-        )
-
-    def affine_root_image(self, g: _AffineElement, i: int):
-        """Image of the affine simple root alpha_i under g, as (finite part
-        in root coordinates, delta coefficient)."""
-        if i == 0:
-            alpha = tuple(-t for t in self.theta)
-            k = 1
-        else:
-            alpha = tuple(int(j == i - 1) for j in range(self.n))
-            k = 0
-        beta = _mat_apply(g.mroot, alpha)
-        # k' = k - <nu, u(alpha)>
-        pair = sum(
-            g.nu[j] * sum(self.fin.cartan[j][m] * beta[m] for m in range(self.n))
-            for j in range(self.n)
-        )
-        return beta, k - pair
-
-    def is_negative_affine_root(self, beta, k) -> bool:
-        if k != 0:
-            return k < 0
-        # finite root: negative iff all coordinates <= 0
-        return all(x <= 0 for x in beta) and any(beta)
-
-    def right_descent(self, g: _AffineElement, i: int) -> bool:
-        beta, k = self.affine_root_image(g, i)
-        return self.is_negative_affine_root(beta, k)
-
-
-def translation_word(aff: RootDatum, lam: Sequence[int]) -> tuple[WeylWord, dict]:
-    """Reduced word for the translation by lam (coefficients over the simple
-    coroots, all >= 0) in the affine Weyl group.
-
-    Returns the word together with a small report: the word length, the
-    value 2*sum(lam), and whether they agree (they do for A_1; the general
-    relation is not assumed).
-    """
-    if not aff.affine or aff.finite is None:
-        raise ValueError("translation_word requires an affine datum")
-    lam = [int(x) for x in lam]
-    if any(x < 0 for x in lam):
-        raise ValueError("coweight coefficients must be >= 0")
-    group = AffineWeyl(aff.finite)
-    g = group.translation(lam)
-    letters_rev: list[int] = []
-    guard = 4 * sum(lam) * (group.n + 1) ** 2 + 8
-    while not g.is_identity():
-        if len(letters_rev) > guard:
-            raise RuntimeError("descent loop failed to terminate")
-        for i in range(group.n + 1):
-            if group.right_descent(g, i):
-                g = group.right_multiply_simple(g, i)
-                letters_rev.append(i)
-                break
-        else:
-            raise RuntimeError("no descent found for a non-identity element")
-    word = WeylWord(tuple(reversed(letters_rev)))
-    report = {
-        "length": len(word),
-        "two_sum": 2 * sum(lam),
-        "length_matches_two_sum": len(word) == 2 * sum(lam),
-    }
-    return word, report

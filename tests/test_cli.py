@@ -154,6 +154,18 @@ def test_verify_rejects_ignored_flags(argv, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--kind", "rational", "--check", "symplectic"], "trigonometric"),
+    (["--kind", "trig", "--check", "jacobi", "--trials", "3"], "--trials"),
+    (["--kind", "trig", "--check", "descent", "--trials", "3"], "--trials"),
+])
+def test_poisson_rejects_bad_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poisson", "--type", "A1", "--degrees", "1", *argv])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_point_assignment_sampler_exhaustion():
     # 41 roots cannot be distinct: the sampler draws from 40 nonzero w values
     with pytest.raises(RuntimeError, match="sampling exhaustion"):

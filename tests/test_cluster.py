@@ -82,6 +82,14 @@ def test_initial_seed_values():
     assert vals == [F(5), F(1), F(-24), F(-8)]
 
 
+def test_symbolic_variables_beyond_cap_rejected_before_building():
+    # reading .variables at a = 7 would need 7x7 symbolic minors; the
+    # builder refuses at once instead of building the 6x6 ones first
+    seed = initial_seed_sl2(None, 7)
+    with pytest.raises(ValueError, match="SYMBOLIC_COFACTOR_CAP"):
+        seed.variables
+
+
 def test_seed_rejects_wrong_point():
     mono = ZastavaPoint(A1, (UniPoly([0, 1]),), (UniPoly([3]),))
     with pytest.raises(ValueError):

@@ -89,13 +89,13 @@ def test_bezout_random_residual():
 
 def test_g_matrix():
     g = g_matrix(UniPoly([-2, 1]), UniPoly([3]))
-    assert g.laurent_entry(1, 1) == {0: 1, -1: 2}
-    assert g.laurent_entry(1, 2) == {-1: F(-4, 3)}
-    assert g.laurent_entry(2, 1) == {-1: 3}
-    assert g.laurent_entry(2, 2) == {0: 1, -1: -2}
+    # z^(-1) (F, D; R, Q) = A_0 + A_{-1} z^(-1) with F = z + 2, D = -4/3,
+    # R = 3, Q = z - 2
+    assert g.coeff_matrix(0) == ((1, 0), (0, 1))
+    assert g.coeff_matrix(-1) == ((2, F(-4, 3)), (3, -2))
     assert g.det_is_one()
     g2 = g_matrix(UniPoly([-1, 1]), UniPoly([1]))
-    assert g2.laurent_entry(1, 1) == {0: 1, -1: 1}
+    assert g2.coeff_matrix(0)[0][0] == 1 and g2.coeff_matrix(-1)[0][0] == 1
     assert g2.det_is_one()
 
 

@@ -1,7 +1,7 @@
 
 import pytest
 
-from zastava.rootdata import datum, translation_word
+from zastava.rootdata import datum
 
 
 def test_a1():
@@ -56,16 +56,3 @@ def test_unsupported_tag():
     with pytest.raises(ValueError):
         datum("E8")
 
-
-def test_translation_words_a1():
-    aff = datum("A1-affine")
-    for a in range(5):
-        word, report = translation_word(aff, [a])
-        assert word.letters == (0, 1) * a
-        assert report["length"] == 2 * a
-        assert report["length_matches_two_sum"] is True
-
-
-def test_translation_word_negative():
-    with pytest.raises(ValueError):
-        translation_word(datum("A1-affine"), [-1])
