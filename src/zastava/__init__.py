@@ -19,7 +19,7 @@ from .minors import (
     generalized_minor_v1,
     wedge_entry,
 )
-from .multirat import MultiPoly, MultiRat, Ring, series_coefficient_rat
+from .multirat import MultiPoly, MultiRat, Ring
 from .points import (
     GMatrix,
     Tier,
@@ -31,7 +31,6 @@ from .points import (
     from_coords,
     g_matrix,
     recover_coords,
-    series_closed_form,
 )
 from .poisson import (
     BracketTable,
@@ -49,7 +48,7 @@ from .cluster import (
     mutate,
 )
 from .rootdata import RootDatum, datum
-from .series import InfSeries, series_expand
+from .series import InfSeries, series_coefficients, series_expand
 from .superpotential import SuperData, SuperValue, eval_gw, positivity_sample, verify_gw_w
 from .unipoly import UniPoly, lagrange_interpolate, poly_divmod, poly_gcd, rational_roots
 

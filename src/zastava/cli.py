@@ -2,7 +2,9 @@
 
 All exact values serialize as decimal-free "p/q" strings.  The RNG seed
 defaults to 0, can be set with --rng, and is overridden by the ZASTAVA_RNG
-environment variable.  Exit status is 0 exactly when no check failed.
+environment variable.  Exit status is 0 when no check failed, 1 when one
+did, and 2 on bad input: flags that do not combine, or an error raised while
+the input is read (reported as a JSON object with a "reason" on stderr).
 """
 
 from __future__ import annotations
@@ -13,18 +15,31 @@ import os
 import random
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import bench as bench_mod
 from .cluster import initial_seed_sl2, log_canonicity_check, mutate
 from .minors import crosscheck_three_routes
-from .points import ZastavaPoint, from_coords
+from .points import ZastavaPoint, coordinate_assignment, from_coords
 from .poisson import BracketTable, jacobi_report, symplectic_check_trig, verify_descent
 from .rational import parse_scalar
 from .rootdata import datum
 from .superpotential import SuperData, eval_gw, verify_gw_w
 from .unipoly import UniPoly
 from .verify import random_point_assignment, run_profile
+
+
+@contextmanager
+def _reading():
+    """An error raised while user input is read ends the run with exit
+    status 2 and one JSON object with its reason on stderr."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(json.dumps({"error": "bad input", "reason": reason}) + "\n")
+        raise SystemExit(2) from None
 
 
 def _jsonable(obj):
@@ -50,20 +65,29 @@ def _scalar_list(text: str) -> list[Fraction]:
     return [parse_scalar(t) for t in text.split(",") if t != ""]
 
 
-_TERM = re.compile(r"^([+-]?[0-9/]*)\*?(z(?:\^([0-9]+))?)?$")
+# one term with an optional minus sign: "3", "-1/2", "z", "2*z^3", "-z^2"
+_TERM = re.compile(r"(-?)(?:([0-9]+(?:/[0-9]+)?)(?:\*(?=z))?)?(z(?:\^([0-9]+))?)?")
+_MAX_DEGREE = 10_000
 
 
 def parse_poly(text: str) -> UniPoly:
-    """Parse expressions like "z^2+1", "3z-1/2", "z^3-2*z"."""
-    s = text.replace(" ", "").replace("-", "+-")
+    """Parse expressions like "z^2+1", "3z-1/2", "z^3-2*z" or the rendering
+    "z^2 + -3*z + 1"; raises ValueError on anything else."""
+    s = text.replace(" ", "")
+    # split at each + or - that ends a term; a term may carry its own minus
+    parts = re.split(r"(?<=[0-9z])([+-])", s[1:] if s.startswith("+") else s)
     coeffs: dict[int, Fraction] = {}
-    for term in filter(None, s.split("+")):
-        m = _TERM.match(term)
-        if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
+    for op, term in zip(["+"] + parts[1::2], parts[::2]):
+        m = _TERM.fullmatch(term)
+        if not m or not (m[2] or m[3]):
             raise ValueError(f"cannot parse term {term!r} of {text!r}")
-        cstr, zpart, power = m.groups()
-        c = parse_scalar({"": "1", "+": "1", "-": "-1"}.get(cstr, cstr))
+        minus, cstr, zpart, power = m.groups()
+        c = parse_scalar(cstr or "1")
+        if (minus == "-") != (op == "-"):
+            c = -c
         k = 0 if not zpart else (int(power) if power else 1)
+        if k > _MAX_DEGREE:
+            raise ValueError(f"degree {k} above {_MAX_DEGREE} in {text!r}")
         coeffs[k] = coeffs.get(k, Fraction(0)) + c
     deg = max(coeffs, default=0)
     return UniPoly([coeffs.get(k, Fraction(0)) for k in range(deg + 1)])
@@ -72,7 +96,8 @@ def parse_poly(text: str) -> UniPoly:
 def _seed_from(args) -> int:
     env = os.environ.get("ZASTAVA_RNG")
     if env is not None:
-        return int(env)
+        with _reading():
+            return int(env)
     return args.rng
 
 
@@ -116,25 +141,29 @@ def cmd_verify(args) -> int:
     if args.trials is not None:
         kwargs["trials"] = args.trials
     if args.point:
-        kwargs["points"] = [ZastavaPoint.load(args.point)]
+        with _reading():
+            kwargs["points"] = [ZastavaPoint.load(args.point)]
     rep = run_profile(args.profile, seed, **kwargs)
     _emit(rep.to_json(include_timing=not args.no_timing), args.output)
     return 0 if rep.ok else 1
 
 
 def cmd_minors(args) -> int:
-    pt = ZastavaPoint.load(args.point)
+    with _reading():
+        pt = ZastavaPoint.load(args.point)
     res = crosscheck_three_routes(pt)
     _emit(res, args.report)
     return 0 if res["agree"] else 1
 
 
 def cmd_poisson(args) -> int:
-    dat = datum(args.type)
-    degrees = tuple(int(t) for t in args.degrees.split(","))
     kind = {"trig": "trigonometric", "rational": "rational"}.get(args.kind, args.kind)
+    with _reading():
+        dat = datum(args.type)
+        degrees = tuple(int(t) for t in args.degrees.split(","))
+        table = BracketTable(dat, degrees, kind)
     if args.check == "jacobi":
-        res = jacobi_report(BracketTable(dat, degrees, kind))
+        res = jacobi_report(table)
     elif args.check == "descent":
         res = verify_descent(dat, degrees, kind)
     else:  # symplectic
@@ -150,23 +179,24 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    pt = ZastavaPoint.load(args.point) if args.point else None
-    seed = initial_seed_sl2(pt, args.a)
-    trace = {
-        "a": args.a,
-        "labels": list(seed.labels),
-        "exchangeable": list(seed.exchangeable),
-        "frozen": list(seed.frozen),
-        "matrix": [list(row) for row in seed.matrix.data],
-        "mutations": [],
-    }
-    current = seed
-    if args.mutations:
-        for k in (int(t) for t in args.mutations.split(",")):
-            current = mutate(current, k)
-            trace["mutations"].append(
-                {"at": k, "matrix": [list(row) for row in current.matrix.data]}
-            )
+    with _reading():
+        pt = ZastavaPoint.load(args.point) if args.point else None
+        seed = initial_seed_sl2(pt, args.a)
+        trace = {
+            "a": args.a,
+            "labels": list(seed.labels),
+            "exchangeable": list(seed.exchangeable),
+            "frozen": list(seed.frozen),
+            "matrix": [list(row) for row in seed.matrix.data],
+            "mutations": [],
+        }
+        current = seed
+        if args.mutations:
+            for k in (int(t) for t in args.mutations.split(",")):
+                current = mutate(current, k)
+                trace["mutations"].append(
+                    {"at": k, "matrix": [list(row) for row in current.matrix.data]}
+                )
     ok = True
     if args.check == "log-canonical":
         table = BracketTable(datum("A1"), (args.a,), "trigonometric")
@@ -181,8 +211,6 @@ def cmd_cluster(args) -> int:
         }
         ok = res["ok"]
     if pt is not None:
-        from .points import coordinate_assignment
-
         assign = coordinate_assignment(pt)
         trace["values_at_point"] = {
             lab: x.value for lab, x in zip(current.labels, current.jets(assign, ()))
@@ -192,9 +220,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_super(args) -> int:
-    pt = ZastavaPoint.load(args.point)
-    K = tuple(parse_poly(t) for t in args.K.split(";"))
-    data = SuperData(K)
+    with _reading():
+        pt = ZastavaPoint.load(args.point)
+        data = SuperData(tuple(parse_poly(t) for t in args.K.split(";")))
     val = eval_gw(pt, data)
     out = {
         "exact_part": val.exact_part,
@@ -215,9 +243,11 @@ def cmd_bench(args) -> int:
     if not pre["ok"]:
         sys.stderr.write(f"preflight failed: {json.dumps(_jsonable(pre))}\n")
         return 1
+    with _reading():
+        sizes = _parse_sizes(args.sizes)
     rows = bench_mod.bench(
         args.family,
-        _parse_sizes(args.sizes),
+        sizes,
         strategies=tuple(args.strategies.split(",")),
         seed=_seed_from(args),
         repeats=args.repeats,
@@ -233,13 +263,17 @@ def cmd_bench(args) -> int:
 
 def cmd_point(args) -> int:
     if args.validate:
-        pt = ZastavaPoint.load(args.validate)
+        with _reading():
+            pt = ZastavaPoint.load(args.validate)
         _emit({"ok": True, "tier": pt.tier.value, "point": pt.to_json()}, args.output)
         return 0
-    dat = datum(args.type)
-    w = [_scalar_list(t) for t in args.w.split(";")]
-    y = [_scalar_list(t) for t in args.y.split(";")]
-    pt = from_coords(dat, w, y, require_trigonometric=args.trigonometric)
+    with _reading():
+        if args.w is None or args.y is None:
+            raise ValueError("--w and --y are required without --validate")
+        dat = datum(args.type)
+        w = [_scalar_list(t) for t in args.w.split(";")]
+        y = [_scalar_list(t) for t in args.y.split(";")]
+        pt = from_coords(dat, w, y, require_trigonometric=args.trigonometric)
     if args.out:
         pt.save(args.out)
     _emit(pt.to_json(), args.output)

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .jet import Jet, det_jet, multirat_jet
+from .jet import Jet, det_jet
 from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
-from .multirat import MultiRat, Ring, series_coefficient_rat
+from .multirat import MultiRat
 from .points import Tier, ZastavaPoint, coordinate_ring
 from .poisson import BracketTable
+from .series import series_coefficients
 
 JetEvaluator = Callable[[Mapping[str, Fraction], Sequence[str]], tuple[Jet, ...]]
 
@@ -130,7 +131,7 @@ class Seed:
     first time ``variables`` is read.  ``initial_seed_sl2`` and ``mutate``
     pass such a builder together with a closed-form ``jets`` evaluator, so
     their seeds build no symbolic variables unless asked.  Without an
-    evaluator, jets are read off the terms of the variables.
+    evaluator, each variable is evaluated at the coordinate jets.
     """
 
     def __init__(self, labels: Sequence[str],
@@ -164,7 +165,10 @@ class Seed:
         ``point``; raises ZeroDivisionError where a variable is undefined."""
         if self._jets is not None:
             return self._jets(point, coords)
-        return tuple(multirat_jet(v, point, coords) for v in self.variables)
+        at = {name: Jet.coordinate(name, point, coords) for name in point}
+        # adding the zero jet turns a constant variable's Fraction into a jet
+        zero = Jet.constant(0, len(coords))
+        return tuple(zero + v.evaluate(at) for v in self.variables)
 
     @property
     def frozen(self) -> tuple[int, ...]:
@@ -214,46 +218,20 @@ def mutate(seed: Seed, k: int) -> Seed:
 # -- rank-one initial seed ---------------------------------------------------
 
 
-def hankel_variable(ring: Ring, a: int, family: str, m: int) -> MultiRat:
-    """The size-m Hankel minor of the closed-form series coefficients,
-    family "C" (offset 0) or "D" (offset 1), as a chart function."""
-    offset = 0 if family == "C" else 1
-    wn = [f"w1_{r}" for r in range(1, a + 1)]
-    yn = [f"y1_{r}" for r in range(1, a + 1)]
-    cs: dict[int, MultiRat] = {}
-
-    def c(j: int) -> MultiRat:
-        if j not in cs:
-            cs[j] = series_coefficient_rat(ring, wn, yn, j)
-        return cs[j]
-
-    mat = ExactMatrix([[c(j + k + offset) for k in range(m)] for j in range(m)])
-    return det(mat, strategy="cofactor")
-
-
-def hankel_jets(a: int, point: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
-    """Jets of [D_1, C_1, ..., D_a, C_a] at a point: the closed-form
-    c_j = sum_r y_r w_r^j / prod_{s != r}(w_r - w_s) pushed through the
-    size-m Hankel determinants (C offset 0, D offset 1)."""
-    n = len(coords)
-    ws = [Jet.coordinate(f"w1_{r}", point, coords) for r in range(1, a + 1)]
-    ys = [Jet.coordinate(f"y1_{r}", point, coords) for r in range(1, a + 1)]
-    weights = []
-    for r, w in enumerate(ws):
-        den = Jet.constant(1, n)
-        for s, other in enumerate(ws):
-            if s != r:
-                den = den * (w - other)
-        weights.append(ys[r] / den)
-    c = []
-    for _ in range(2 * a):
-        c.append(sum(weights[1:], weights[0]))
-        weights = [t * w for t, w in zip(weights, ws)]
-    out = []
-    for m in range(1, a + 1):
-        for offset in (1, 0):
-            out.append(det_jet([[c[j + k + offset] for k in range(m)] for j in range(m)], n))
-    return tuple(out)
+def hankel_minors(ws: Sequence, ys: Sequence, determinant: Callable[[list[list]], object]) -> tuple:
+    """(D_1, C_1, ..., D_a, C_a) for a = len(ws): the size-m Hankel
+    determinants (C offset 0, D offset 1) of the closed-form series
+    coefficients (``series_coefficients``), each taken from its rows by
+    ``determinant``.  The number type is the caller's: ring variables with
+    a symbolic determinant give the chart functions, coordinate jets with
+    ``det_jet`` their jets at a point."""
+    a = len(ws)
+    c = series_coefficients(ws, ys, 2 * a)
+    return tuple(
+        determinant([[c[j + k + offset] for k in range(m)] for j in range(m)])
+        for m in range(1, a + 1)
+        for offset in (1, 0)
+    )
 
 
 def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
@@ -261,10 +239,13 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     [D_1, C_1, D_2, C_2, ..., D_a, C_a] along the word (0,1)^a, with the
     last two positions frozen.  (0,1)^a is the reduced word of the
     translation t_a in the affine Weyl group of type A1 (length 2a).  Jets
-    come from ``hankel_jets``; the symbolic variables (``hankel_variable``)
-    are built only when read, and reading them raises ValueError when a
-    exceeds SYMBOLIC_COFACTOR_CAP, before any minor is built.
+    and the symbolic variables both come from ``hankel_minors``; the
+    symbolic ones are built only when read, and reading them raises
+    ValueError when a exceeds SYMBOLIC_COFACTOR_CAP, before any minor is
+    built.
     """
+    if a < 1:
+        raise ValueError(f"degree a must be at least 1, not {a}")
     if point is not None:
         if not point.is_sl2 or point.degrees != (a,):
             raise ValueError("point must be rank-one of the given degree")
@@ -277,34 +258,35 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     for m in range(1, a + 1):
         labels += [f"D_{m}", f"C_{m}"]
 
-    def build() -> list[MultiRat]:
+    def chart(coordinate: Callable[[str], object]) -> tuple[list, list]:
+        return ([coordinate(f"w1_{r}") for r in range(1, a + 1)],
+                [coordinate(f"y1_{r}") for r in range(1, a + 1)])
+
+    def build() -> tuple[MultiRat, ...]:
         if a > SYMBOLIC_COFACTOR_CAP:
             raise ValueError(
                 f"symbolic seed variables need {a}x{a} minors, above "
                 f"SYMBOLIC_COFACTOR_CAP = {SYMBOLIC_COFACTOR_CAP}"
             )
         ring = coordinate_ring((a,))
-        variables = []
-        for m in range(1, a + 1):
-            variables += [
-                hankel_variable(ring, a, "D", m),
-                hankel_variable(ring, a, "C", m),
-            ]
-        return variables
+        return hankel_minors(*chart(ring.rat_var),
+                             lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
 
-    return Seed(labels, build, matrix,
-                jets=lambda pt, coords: hankel_jets(a, pt, coords))
+    def jets(pt: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
+        return hankel_minors(*chart(lambda name: Jet.coordinate(name, pt, coords)),
+                             lambda rows: det_jet(rows, len(coords)))
+
+    return Seed(labels, build, matrix, jets=jets)
 
 
 # -- log-canonicity ----------------------------------------------------------
 
 
-def sample_chart_point(ring: Ring, a: int, rng: random.Random, positive: bool = False) -> dict[str, Fraction]:
-    """Random admissible assignment: distinct nonzero w, nonzero y."""
+def sample_chart_point(a: int, rng: random.Random) -> dict[str, Fraction]:
+    """Random admissible rank-one assignment: distinct nonzero w, nonzero y."""
     for _ in range(1000):
-        lo = 1 if positive else -9
-        ws = [Fraction(rng.randint(lo, 9), rng.randint(1, 4)) for _ in range(a)]
-        ys = [Fraction(rng.randint(lo, 9), rng.randint(1, 4)) for _ in range(a)]
+        ws = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(a)]
+        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(a)]
         if 0 in ws or 0 in ys or len(set(ws)) != a:
             continue
         out = {}
@@ -320,25 +302,21 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
 
     At each accepted point every variable is taken once as a jet (exact
     value and gradient over ``table.coordinates``, see ``Seed.jets``); the
-    bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi the coordinate
-    brackets evaluated at the point.  A point is rejected when a variable
-    is zero or undefined there.  PASS iff every pair's value set is a
-    singleton.
+    bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi(p) the coordinate
+    brackets at the point, of which only the nonzero ones are used.  A
+    point is rejected when a variable is zero or undefined there.  PASS
+    iff every pair's value set is a singleton.
     """
     if rng is None:
         rng = random.Random(0)
     a = sum(table.degrees)
     coords = table.coordinates
-    rules = []
-    for (iu, u), (iv, v) in itertools.combinations(enumerate(coords), 2):
-        rule = table.coordinate_bracket(u, v)
-        if not rule.is_zero:
-            rules.append((iu, iv, rule))
+    coord_pairs = list(itertools.combinations(enumerate(coords), 2))
     index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
     values: list[list[Fraction]] = [[] for _ in index_pairs]
     accepted = 0
     while accepted < trials:
-        pt = sample_chart_point(table.ring, a, rng)
+        pt = sample_chart_point(a, rng)
         try:
             jets = seed.jets(pt, coords)
         except ZeroDivisionError:
@@ -346,7 +324,8 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
         if any(x.value == 0 for x in jets):
             continue
         accepted += 1
-        pis = [(iu, iv, rule.evaluate(pt)) for iu, iv, rule in rules]
+        pis = [(iu, iv, pi) for (iu, u), (iv, v) in coord_pairs
+               if (pi := table.coordinate_bracket(u, v, pt))]
         # h = Pi^T grad(x), so that {x, x'} = h . grad(x')
         hs = []
         for x in jets:

@@ -6,7 +6,9 @@ chain rule operation by operation (forward mode; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 3), so a function built from +, -,
 *, / and integer powers is differentiated exactly at a point without its
 formula ever being formed.  Checks that only need values and first
-derivatives at sample points use jets instead of symbolic ``MultiRat``s.
+derivatives at sample points use jets instead of symbolic ``MultiRat``s;
+a given ``MultiRat`` is taken to a jet by evaluating it at coordinate jets
+(``MultiRat.evaluate``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, det
-from .multirat import MultiPoly, MultiRat
 
 _ZERO = Fraction(0)
 
@@ -117,54 +118,3 @@ def det_jet(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
                 if d:
                     grad[c] += cof * d
     return Jet(value, tuple(grad))
-
-
-def _poly_jet(p: MultiPoly, point: Mapping[str, Fraction], slots: Sequence[tuple[int, int]], n: int) -> Jet:
-    """Value and gradient of a polynomial, read term by term.
-
-    ``slots`` pairs a ring variable index with its position in the gradient.
-    """
-    names = p.ring.names
-    values: dict[int, Fraction] = {}
-
-    def val(i: int) -> Fraction:
-        if i not in values:
-            if names[i] not in point:
-                raise ValueError(f"unassigned variable {names[i]}")
-            values[i] = Fraction(point[names[i]])
-        return values[i]
-
-    total = _ZERO
-    grad = [_ZERO] * n
-    for e, c in p.terms.items():
-        t = c
-        for i, k in enumerate(e):
-            if k:
-                t *= val(i) ** k
-        total += t
-        for i, pos in slots:
-            k = e[i]
-            if not k:
-                continue
-            d = c * k
-            for i2, k2 in enumerate(e):
-                if k2:
-                    d *= val(i2) ** (k2 - 1 if i2 == i else k2)
-            grad[pos] += d
-    return Jet(total, tuple(grad))
-
-
-def multirat_jet(f: MultiRat, point: Mapping[str, Fraction], coords: Sequence[str]) -> Jet:
-    """Value and gradient over ``coords`` of a rational function at a point,
-    read off the terms of its numerator and denominator (no symbolic diff).
-
-    Raises ZeroDivisionError where the denominator vanishes, as
-    ``MultiRat.evaluate`` does.
-    """
-    index = f.ring.index
-    slots = [(index[c], pos) for pos, c in enumerate(coords) if c in index]
-    n = len(coords)
-    den = _poly_jet(f.den, point, slots, n)
-    if den.value == 0:
-        raise ZeroDivisionError("denominator vanishes at the given point")
-    return _poly_jet(f.num, point, slots, n) / den

@@ -47,28 +47,8 @@ class ExactMatrix:
     def __getitem__(self, rc: tuple[int, int]) -> object:
         return self.entries[rc[0]][rc[1]]
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix([[self.entries[i][j] for j in cols] for i in rows])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
 
 
 # -- determinant strategies ---------------------------------------------
@@ -212,35 +192,27 @@ def solve_linear(a: ExactMatrix, b: Sequence[Fraction]) -> list[Fraction]:
 
 def hankel_matrix(c: InfSeries, size: int) -> ExactMatrix:
     """The size x size matrix with entry (j,k) = c_{j+k}."""
-    if c.order < 2 * size - 1:
-        raise ValueError(
-            f"need {2 * size - 1} series coefficients, have {c.order}"
-        )
-    return ExactMatrix(
-        [[c.coeff(j + k) for k in range(size)] for j in range(size)]
-    )
+    return _hankel(c, size, 0)
 
 
 def hankel_minor_C(c: InfSeries, r: int) -> Fraction:
     """Principal r x r Hankel minor, det [c_{j+k}]_{j,k=0}^{r-1}."""
-    if r < 1:
-        raise ValueError("minor size must be >= 1")
-    if c.order < 2 * r - 1:
-        raise ValueError(f"need {2 * r - 1} series coefficients, have {c.order}")
-    return det(
-        ExactMatrix([[c.coeff(j + k) for k in range(r)] for j in range(r)])
-    )
+    return det(_hankel(c, r, 0))
 
 
 def hankel_minor_D(c: InfSeries, r: int) -> Fraction:
     """Shifted r x r Hankel minor, det [c_{j+k+1}]_{j,k=0}^{r-1}."""
-    if r < 1:
+    return det(_hankel(c, r, 1))
+
+
+def _hankel(c: InfSeries, size: int, offset: int) -> ExactMatrix:
+    """[c_{j+k+offset}] for j, k < size."""
+    if size < 1:
         raise ValueError("minor size must be >= 1")
-    if c.order < 2 * r:
-        raise ValueError(f"need {2 * r} series coefficients, have {c.order}")
-    return det(
-        ExactMatrix([[c.coeff(j + k + 1) for k in range(r)] for j in range(r)])
-    )
+    need = 2 * size - 1 + offset
+    if c.order < need:
+        raise ValueError(f"need {need} series coefficients, have {c.order}")
+    return ExactMatrix([[c.coeff(j + k + offset) for k in range(size)] for j in range(size)])
 
 
 # -- Sylvester arrangement and sub-resultants ------------------------------

@@ -116,8 +116,9 @@ def crosscheck_three_routes(point) -> dict:
     Returns per-index records for both families (C_1..C_a, then
     D_1..D_{a-1}) with the three values, the raw window determinant as the
     wedge value, the wedge/Hankel and sub-resultant/Hankel sign factors,
-    and a global agreement flag (all magnitudes equal, signs stable per
-    index).
+    and an agreement flag: every ratio at this point is +1 or -1, or 0/0.
+    The flag does not compare signs across points; callers that need a
+    sign fixed per index compare the records of several points.
     """
     Q, R = _point_qr(point)
     a = Q.degree

@@ -71,17 +71,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        [(e, c)] = list(self.terms.items())
-        if sum(e) != 0:
-            raise ValueError("not a constant polynomial")
-        return c
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -178,18 +167,18 @@ class MultiPoly:
             acc = acc * value + MultiRat(p, self.ring.const(1))
         return acc
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        order = [self.ring.index[n] for n in assignment]
-        vals = list(assignment.values())
+    def evaluate(self, assignment: Mapping[str, object]):
+        """Value at an assignment of exact numbers or of jets
+        (``zastava.jet.Jet``); names outside the ring are ignored."""
+        vals = [assignment.get(n) for n in self.ring.names]
         total = Fraction(0)
         for e, c in self.terms.items():
             t = c
-            for i, v in zip(order, vals):
-                if e[i]:
-                    t *= Fraction(v) ** e[i]
-            for i, x in enumerate(e):
-                if x and i not in order:
-                    raise ValueError(f"unassigned variable {self.ring.names[i]}")
+            for i, k in enumerate(e):
+                if k:
+                    if vals[i] is None:
+                        raise ValueError(f"unassigned variable {self.ring.names[i]}")
+                    t *= vals[i] ** k
             total += t
         return total
 
@@ -325,7 +314,8 @@ class MultiRat:
         v = self._coerce(value)
         return self.num.subs(name, v) / self.den.subs(name, v)
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
+    def evaluate(self, assignment: Mapping[str, object]):
+        """Value at numbers or jets; raises ZeroDivisionError at a pole."""
         d = self.den.evaluate(assignment)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at the given point")
@@ -336,29 +326,8 @@ class MultiRat:
         return any(e[i] for e in self.num.terms) or any(e[i] for e in self.den.terms)
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den == self.ring.const(1):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
-
-
-def series_coefficient_rat(
-    ring: Ring, w_names: Sequence[str], y_names: Sequence[str], j: int
-) -> MultiRat:
-    """c_j = sum_r y_r w_r^j / prod_{s != r}(w_r - w_s) as a rational function.
-
-    This is the closed form of the j-th Taylor coefficient at infinity of
-    R/Q for Q with roots w_r and values y_r = R(w_r).
-    """
-    if len(w_names) != len(y_names):
-        raise ValueError("mismatched coordinate lists")
-    total = ring.rat_const(0)
-    for r, (wn, yn) in enumerate(zip(w_names, y_names)):
-        num = ring.var(yn) * (ring.var(wn) ** j)
-        den = ring.const(1)
-        for s, other in enumerate(w_names):
-            if s != r:
-                den = den * (ring.var(wn) - ring.var(other))
-        total = total + MultiRat(num, den)
-    return total

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, hankel_minor_C, solve_linear
-from .multirat import MultiRat, Ring, series_coefficient_rat
+from .multirat import Ring
 from .rational import format_scalar, parse_scalar
 from .rootdata import RootDatum, datum
 from .series import InfSeries, series_expand
@@ -56,6 +56,8 @@ class ZastavaPoint:
         if (self.w is None) != (self.y is None):
             raise ValueError("coordinate form requires both w and y")
         if self.w is not None:
+            if len(self.w) != self.datum.rank or len(self.y) != self.datum.rank:
+                raise ValueError("coordinate lists must match the degrees")
             for i, (ws, ys) in enumerate(zip(self.w, self.y)):
                 if len(ws) != self.degrees[i] or len(ys) != self.degrees[i]:
                     raise ValueError("coordinate lists must match the degrees")
@@ -104,13 +106,17 @@ class ZastavaPoint:
 
     @staticmethod
     def from_json(data: dict) -> "ZastavaPoint":
-        dat = datum(data["type"])
-        Q = tuple(UniPoly.from_json(c) for c in data["Q"])
-        R = tuple(UniPoly.from_json(c) for c in data["R"])
-        w = y = None
-        if "w" in data:
-            w = tuple(tuple(parse_scalar(v) for v in ws) for ws in data["w"])
-            y = tuple(tuple(parse_scalar(v) for v in ys) for ys in data["y"])
+        """Read a point document; raises ValueError when it is malformed."""
+        try:
+            dat = datum(data["type"])
+            Q = tuple(UniPoly.from_json(c) for c in data["Q"])
+            R = tuple(UniPoly.from_json(c) for c in data["R"])
+            w = y = None
+            if "w" in data:
+                w = tuple(tuple(parse_scalar(v) for v in ws) for ws in data["w"])
+                y = tuple(tuple(parse_scalar(v) for v in ys) for ys in data["y"])
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"malformed point document: {exc!r}") from exc
         return ZastavaPoint(dat, Q, R, w, y)
 
     @staticmethod
@@ -284,7 +290,7 @@ def eta_shift(pt: ZastavaPoint, i: int) -> ZastavaPoint:
     return out
 
 
-# -- closed-form series coefficients ---------------------------------------
+# -- chart coordinates ------------------------------------------------------
 
 
 def coordinate_ring(degrees: Sequence[int], extra: Sequence[str] = ()) -> Ring:
@@ -294,19 +300,6 @@ def coordinate_ring(degrees: Sequence[int], extra: Sequence[str] = ()) -> Ring:
         names += [f"w{i}_{r}" for r in range(1, a + 1)]
         names += [f"y{i}_{r}" for r in range(1, a + 1)]
     return Ring(tuple(names) + tuple(extra))
-
-
-def series_closed_form(pt: ZastavaPoint, i: int, j: int, ring: Optional[Ring] = None) -> MultiRat:
-    """c_j of color i as the rational function sum_r y w^j / Q'(w) in the
-    point's coordinate variables."""
-    if not pt.has_coords:
-        raise ValueError("coordinate form required")
-    a = pt.degrees[i]
-    if ring is None:
-        ring = coordinate_ring(pt.degrees)
-    wn = [f"w{i + 1}_{r}" for r in range(1, a + 1)]
-    yn = [f"y{i + 1}_{r}" for r in range(1, a + 1)]
-    return series_coefficient_rat(ring, wn, yn, j)
 
 
 def coordinate_assignment(pt: ZastavaPoint) -> dict[str, Fraction]:

@@ -4,8 +4,10 @@ A bracket table fixes, for a root datum and a degree vector, the pairwise
 brackets of the chart coordinates w_{i,r}, y_{i,r} (and optionally the
 leading coefficients B_i).  The rational flavor has {w, y} proportional to
 y; the trigonometric flavor to w*y.  Everything downstream — the Jacobi
-identity, the symplectic inverse, and the generating-series identities for
-the colored polynomials — is checked symbolically in exact arithmetic.
+identity and the generating-series identities for the colored
+polynomials — is checked symbolically in exact arithmetic.  The coordinate
+brackets and the symplectic inverse are also stated at a point, where the
+pointwise checks evaluate them without forming the rational functions.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .linalg import ExactMatrix
 from .multirat import MultiRat, Ring
@@ -64,35 +66,40 @@ class BracketTable:
         i, r = name[1:].split("_")
         return kind, int(i), int(r)
 
-    def coordinate_bracket(self, a: str, b: str) -> MultiRat:
-        """{a, b} for coordinate names a, b, as a rational function."""
+    def _chart(self, point: Optional[Mapping[str, Fraction]] = None) -> tuple[Callable, object]:
+        """Coordinate functions and zero: ring variables, or values at ``point``."""
+        if point is None:
+            return self.var, self.ring.rat_const(0)
+        return point.__getitem__, Fraction(0)
+
+    def coordinate_bracket(self, a: str, b: str, point: Optional[Mapping[str, Fraction]] = None):
+        """{a, b} for coordinate names a, b, as a rational function, or its
+        value at ``point`` when given."""
         ka, ia, ra = self._parse(a)
         kb, ib, rb = self._parse(b)
         if ka > kb or (ka == kb and (ia, ra) > (ib, rb)):
-            return -self.coordinate_bracket(b, a)
+            return -self.coordinate_bracket(b, a, point)
         d = self.datum.d
         P = self.datum.pairing
-        R = self.ring
-        zero = R.rat_const(0)
+        x, zero = self._chart(point)
+        trig = self.kind == "trigonometric"
         if ka == kb == "w" or ka == kb == "B" or (ka, kb) == ("B", "w"):
             return zero
         if (ka, kb) == ("w", "y"):
             if ia != ib or ra != rb:
                 return zero
-            coef = R.rat_const(d[ia - 1])
-            wy = self.var(a) * self.var(b) if self.kind == "trigonometric" else self.var(b)
-            return coef * wy
+            return d[ia - 1] * (x(a) * x(b) if trig else x(b))
         if (ka, kb) == ("y", "y"):
             if ia == ib:
                 return zero
-            w1 = self.var(f"w{ia}_{ra}")
-            w2 = self.var(f"w{ib}_{rb}")
-            num = (w1 + w2) / R.rat_const(2) if self.kind == "trigonometric" else R.rat_const(1)
-            return R.rat_const(P[ia - 1][ib - 1]) * num / (w1 - w2) * self.var(a) * self.var(b)
+            w1 = x(f"w{ia}_{ra}")
+            w2 = x(f"w{ib}_{rb}")
+            num = (w1 + w2) * Fraction(1, 2) if trig else 1
+            return Fraction(P[ia - 1][ib - 1]) * num / (w1 - w2) * x(a) * x(b)
         if (ka, kb) == ("B", "y"):
-            if self.kind == "rational" or ia != ib:
+            if not trig or ia != ib:
                 return zero
-            return R.rat_const(Fraction(-d[ia - 1], 2)) * self.var(a) * self.var(b)
+            return Fraction(-d[ia - 1], 2) * x(a) * x(b)
         raise AssertionError(f"unhandled pair {a}, {b}")
 
     def bracket(self, f: MultiRat, g: MultiRat) -> MultiRat:
@@ -136,16 +143,18 @@ def jacobi_report(table: BracketTable, triples: Optional[Sequence[tuple[str, str
     return {"ok": not failures, "checked": len(list(triples)), "failures": failures}
 
 
-def bivector_matrix(table: BracketTable) -> ExactMatrix:
-    """Matrix of {x_a, x_b} over the chart coordinates, in chart order."""
+def bivector_matrix(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:
+    """Matrix of {x_a, x_b} over the chart coordinates, in chart order;
+    symbolic, or at ``point`` when given."""
     coords = table.coordinates
     return ExactMatrix(
-        [[table.coordinate_bracket(a, b) for b in coords] for a in coords]
+        [[table.coordinate_bracket(a, b, point) for b in coords] for a in coords]
     )
 
 
-def symplectic_form_trig(table: BracketTable) -> ExactMatrix:
-    """Closed-form inverse of the trigonometric bivector (B_i absent).
+def symplectic_form_trig(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:
+    """Closed-form inverse of the trigonometric bivector (B_i absent);
+    symbolic, or at ``point`` when given.
 
     Nonzero blocks: the (y_{i,r}, w_{i,r}) pairing 1/(d_i w y), and the
     cross-color (w_{i,r}, w_{j,s}) entries
@@ -153,22 +162,21 @@ def symplectic_form_trig(table: BracketTable) -> ExactMatrix:
     """
     if table.kind != "trigonometric" or table.extended:
         raise ValueError("closed-form inverse stated for the plain trigonometric chart")
-    R = table.ring
     d = table.datum.d
     P = table.datum.pairing
     coords = table.coordinates
-    zero = R.rat_const(0)
+    x, zero = table._chart(point)
 
-    def entry(a: str, b: str) -> MultiRat:
+    def entry(a: str, b: str):
         ka, ia, ra = table._parse(a)
         kb, ib, rb = table._parse(b)
         if (ka, kb) == ("y", "w") and (ia, ra) == (ib, rb):
-            return R.rat_const(Fraction(1, d[ia - 1])) / (table.var(a) * table.var(b))
+            return Fraction(1, d[ia - 1]) / (x(a) * x(b))
         if (ka, kb) == ("w", "y") and (ia, ra) == (ib, rb):
             return -entry(b, a)
         if ka == kb == "w" and ia != ib:
-            w1, w2 = table.var(a), table.var(b)
-            coef = R.rat_const(Fraction(P[ia - 1][ib - 1], 2 * d[ia - 1] * d[ib - 1]))
+            w1, w2 = x(a), x(b)
+            coef = Fraction(P[ia - 1][ib - 1], 2 * d[ia - 1] * d[ib - 1])
             return coef * (w1 + w2) / ((w1 - w2) * w1 * w2)
         return zero
 
@@ -178,25 +186,19 @@ def symplectic_form_trig(table: BracketTable) -> ExactMatrix:
 def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict) -> dict:
     """Evaluate bivector and closed-form inverse at a point; assert B*Omega = I.
 
-    The point maps coordinate names to exact scalars; within each color the
-    w's must be distinct and nonzero and the y's nonzero.
+    The point maps coordinate names to exact scalars; the w's must be
+    distinct and nonzero and the y's nonzero.
     """
     table = BracketTable(datum, tuple(degrees), "trigonometric")
-    for i, a in enumerate(degrees, start=1):
-        ws = [point[f"w{i}_{r}"] for r in range(1, a + 1)]
-        ys = [point[f"y{i}_{r}"] for r in range(1, a + 1)]
-        if len(set(ws)) != len(ws):
-            raise ValueError("repeated w within a color")
-        if any(v == 0 for v in ws + ys):
-            raise ValueError("zero coordinate value")
-    allw = [point[f"w{i}_{r}"] for i, a in enumerate(degrees, start=1) for r in range(1, a + 1)]
+    coords = table.coordinates
+    if any(point[c] == 0 for c in coords):
+        raise ValueError("zero coordinate value")
+    allw = [point[c] for c in coords if c.startswith("w")]
     if len(set(allw)) != len(allw):
-        raise ValueError("coincident w across colors (form has a pole)")
-    n = len(table.coordinates)
-    B_sym = bivector_matrix(table)
-    B = [[B_sym[i, j].evaluate(point) for j in range(n)] for i in range(n)]
-    Om_sym = symplectic_form_trig(table)
-    Om = [[Om_sym[i, j].evaluate(point) for j in range(n)] for i in range(n)]
+        raise ValueError("coincident w values (the form has a pole)")
+    n = len(coords)
+    B = [list(row) for row in bivector_matrix(table, point).entries]
+    Om = [list(row) for row in symplectic_form_trig(table, point).entries]
     bad = []
     for i in range(n):
         for j in range(n):

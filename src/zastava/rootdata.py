@@ -52,9 +52,13 @@ class RootDatum:
             raise ValueError("symmetrizer must be normalized to min d_i = 1")
 
 
+# the Cartan matrix is dense, so a tag like "A100000" would ask for 10^10 entries
+MAX_RANK = 32
+
+
 def _cartan_finite(family: str, n: int) -> list[list[int]]:
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and MAX_RANK = {MAX_RANK}")
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n - 1):
         c[i][i + 1] = c[i + 1][i] = -1
@@ -144,7 +148,7 @@ def datum(type_tag: str) -> RootDatum:
     if tag.endswith("-affine"):
         affine = True
         tag = tag[: -len("-affine")]
-    if len(tag) < 2 or tag[0].upper() not in "ABCD":
+    if len(tag) < 2 or tag[0].upper() not in "ABCD" or not tag[1:].isdecimal():
         raise ValueError(f"unsupported type tag {type_tag!r}")
     family = tag[0].upper()
     n = int(tag[1:])

@@ -7,8 +7,10 @@ returning zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .unipoly import UniPoly
 
@@ -50,3 +52,18 @@ def series_expand(R: UniPoly, Q: UniPoly, n: int) -> InfSeries:
             acc -= Q.coeff(a + k - j) * cs[k]
         cs.append(acc / lead)
     return InfSeries(tuple(cs))
+
+
+def series_coefficients(ws: Sequence, ys: Sequence, n: int) -> list:
+    """c_0..c_{n-1} of R/Q for Q with distinct roots ws and R(ws) = ys, in
+    closed form: c_j = sum_r y_r w_r^j / prod_{s != r}(w_r - w_s).  Generic
+    over the number type: Fractions, jets, or ring variables (MultiRat)."""
+    terms = [
+        y / math.prod((w - v for s, v in enumerate(ws) if s != r), start=1)
+        for r, (w, y) in enumerate(zip(ws, ys))
+    ]
+    cs = []
+    for _ in range(n):
+        cs.append(sum(terms[1:], terms[0]))
+        terms = [t * w for t, w in zip(terms, ws)]
+    return cs

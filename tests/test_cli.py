@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zastava.cli import main, parse_poly
 from zastava.unipoly import UniPoly
@@ -23,6 +24,28 @@ def test_parse_poly():
         parse_poly("z**2")
     with pytest.raises(ValueError):
         parse_poly("q+1")
+
+
+@pytest.mark.parametrize("text", ["z^2+", "z^2++1", "+", "", "1/0"])
+def test_parse_poly_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=6))
+def test_parse_poly_reads_its_rendering(coeffs):
+    p = UniPoly(coeffs)
+    assert parse_poly(str(p)) == p
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="z^+-*/0123456789 ", max_size=20))
+def test_parse_poly_round_trips_or_rejects(text):
+    try:
+        p = parse_poly(text)
+    except ValueError:
+        return
+    assert parse_poly(str(p)) == p
 
 
 def test_run_profile_smoke():
@@ -86,11 +109,42 @@ def test_point_roundtrip_and_minors(tmp_path, capsys):
     assert byidx[("C", 2)] == "-8" and byidx[("D", 1)] == "5"
 
 
-def test_corrupted_point_file(tmp_path):
+def test_corrupted_point_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degrees": [1]}')
-    with pytest.raises((KeyError, ValueError)):
+    with pytest.raises(SystemExit) as exc:
         main(["point", "--validate", str(bad)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "type" in json.loads(captured.err)["reason"]
+
+
+_POINT_DOCS = {
+    "bad-scalar": {"type": "A1", "Q": [["3", "-4", "1"]], "R": ["x"]},
+    "no-type": {"Q": [["3", "-4", "1"]], "R": [["1", "1"]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--type", "A9x", "--w", "1", "--y", "2"],
+    ["minors", "--point", "bad-scalar.json"],
+    ["minors", "--point", "no-type.json"],
+    ["minors", "--point", "missing.json"],
+    ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "1", "--check", "jacobi"],
+    ["cluster", "--a", "0"],
+], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0"])
+def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _POINT_DOCS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["reason"]
 
 
 def test_poisson_command(capsys):

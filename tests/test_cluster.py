@@ -10,13 +10,14 @@ from zastava.cluster import (
     ExchangeMatrix,
     Seed,
     exchange_matrix,
-    hankel_variable,
+    hankel_minors,
     initial_seed_sl2,
     log_canonicity_check,
     mutate,
     sample_chart_point,
 )
 from zastava.jet import Jet
+from zastava.linalg import ExactMatrix, det
 from zastava.points import ZastavaPoint, coordinate_assignment, coordinate_ring, from_coords
 from zastava.poisson import BracketTable
 from zastava.rootdata import datum
@@ -98,12 +99,18 @@ def test_seed_rejects_wrong_point():
         initial_seed_sl2(_pt2(), 3)
 
 
-def test_hankel_variable_matches_series():
-    ring = coordinate_ring((2,))
+def test_hankel_minors_match_series():
     pt = _pt2()
+    d1, c1, d2, c2 = hankel_minors(pt.w[0], pt.y[0], lambda rows: det(ExactMatrix(rows)))
+    assert c1 == 1
+    assert d2 == -24
+    # the symbolic minors, evaluated at the point, agree
+    ring = coordinate_ring((2,))
+    ws = [ring.rat_var("w1_1"), ring.rat_var("w1_2")]
+    ys = [ring.rat_var("y1_1"), ring.rat_var("y1_2")]
+    symbolic = hankel_minors(ws, ys, lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
     assign = coordinate_assignment(pt)
-    assert hankel_variable(ring, 2, "C", 1).evaluate(assign) == 1
-    assert hankel_variable(ring, 2, "D", 2).evaluate(assign) == -24
+    assert [v.evaluate(assign) for v in symbolic] == [d1, c1, d2, c2]
 
 
 def test_mutation_value():
@@ -123,7 +130,7 @@ def test_seed_mutation_involution():
     assert back.matrix == seed.matrix
     rng = random.Random(4)
     for _ in range(3):
-        assign = sample_chart_point(seed.variables[0].ring, 2, rng)
+        assign = sample_chart_point(2, rng)
         for orig, twice in zip(seed.variables, back.variables):
             assert orig.evaluate(assign) == twice.evaluate(assign)
 
@@ -136,7 +143,7 @@ def test_mutation_laurent_denominator():
     # C_1 * mu(C_1) equals a polynomial in the other seed variables
     done = 0
     while done < 3:
-        assign = sample_chart_point(seed.variables[0].ring, 2, rng)
+        assign = sample_chart_point(2, rng)
         if seed.variable(2).evaluate(assign) == 0:
             continue
         done += 1
@@ -192,7 +199,7 @@ def test_jets_match_symbolic_oracle():
         partials = [[v.diff(c) for c in coords] for v in seed.variables]
         rng = random.Random(30 + a)
         for _ in range(3):
-            pt = sample_chart_point(seed.variables[0].ring, a, rng)
+            pt = sample_chart_point(a, rng)
             for v, dv, x in zip(seed.variables, partials, seed.jets(pt, coords)):
                 assert x.value == v.evaluate(pt)
                 assert list(x.grad) == [d.evaluate(pt) for d in dv]

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
-from zastava.jet import Jet, det_jet, multirat_jet
+import pytest
+
+from zastava.jet import Jet, det_jet
 from zastava.multirat import Ring
 
 R = Ring(("x", "y", "z"))
@@ -19,8 +21,19 @@ def test_arithmetic_matches_symbolic_partials():
     jet = (jx * jy**2 - 3 * jz) / (jx + 2 * jy) ** 2 - 1 / (jy - jz) + (2 - jx) ** 3
     value, grad = _oracle(sym)
     assert (jet.value, list(jet.grad)) == (value, grad)
-    read = multirat_jet(sym, PT, COORDS)
+    read = sym.evaluate({n: Jet.coordinate(n, PT, COORDS) for n in PT})
     assert (read.value, list(read.grad)) == (value, grad)
+
+
+def test_evaluate_at_jets_raises_at_a_pole():
+    x, y, z = (R.rat_var(n) for n in "xyz")
+    pole = {"x": F(2), "y": F(2), "z": F(1)}
+    jets = {n: Jet.coordinate(n, pole, COORDS) for n in pole}
+    with pytest.raises(ZeroDivisionError):
+        (z / (x - y)).evaluate(jets)
+    with pytest.raises(ZeroDivisionError):
+        (1 / (x - y)).evaluate(jets)  # constant numerator
+    assert (x / (x - z)).evaluate(jets).value == 2
 
 
 def test_det_jet_exact_on_singular_matrix():

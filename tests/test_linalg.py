@@ -24,7 +24,7 @@ def test_det_examples():
     m = ExactMatrix([[1, 5], [5, 17]])
     for s in STRATEGIES:
         assert det(m, strategy=s) == -8
-    assert det(ExactMatrix.identity(4)) == 1
+    assert det(ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 1
     assert det(ExactMatrix([[1, 2], [1, 2]])) == 0
 
 

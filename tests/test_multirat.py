@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zastava.multirat import Ring, series_coefficient_rat
+from zastava.multirat import Ring
+from zastava.series import series_coefficients
 
 R = Ring(("x", "y", "z"))
 x, y, z = R.rat_var("x"), R.rat_var("y"), R.rat_var("z")
@@ -66,16 +67,17 @@ def test_field_axioms(a, b, c):
     assert a + b == b + a and a * b == b * a
 
 
-def test_series_coefficient_rat():
+def test_series_coefficient_two_roots():
     ring = Ring(("w1", "w2", "y1", "y2"))
-    c1 = series_coefficient_rat(ring, ["w1", "w2"], ["y1", "y2"], 1)
+    w1, w2, y1, y2 = (ring.rat_var(n) for n in ("w1", "w2", "y1", "y2"))
+    c1 = series_coefficients([w1, w2], [y1, y2], 2)[1]
     val = c1.evaluate({"w1": F(1), "w2": F(3), "y1": F(2), "y2": F(4)})
     assert val == 5  # 2*1/(1-3) + 4*3/(3-1)
 
 
 def test_series_coefficient_single_root():
     ring = Ring(("w1", "y1"))
-    assert series_coefficient_rat(ring, ["w1"], ["y1"], 0) == ring.rat_var("y1")
-    c2 = series_coefficient_rat(ring, ["w1"], ["y1"], 2)
     w, yv = ring.rat_var("w1"), ring.rat_var("y1")
-    assert c2 == yv * w * w
+    c = series_coefficients([w], [yv], 3)
+    assert c[0] == yv
+    assert c[2] == yv * w * w

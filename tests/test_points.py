@@ -3,21 +3,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zastava.points import (
     Tier,
     ZastavaPoint,
     bezout_complete,
     boundary_equation_sl2,
-    coordinate_assignment,
     eta_shift,
     factorization_divisor,
     from_coords,
     g_matrix,
     recover_coords,
-    series_closed_form,
 )
 from zastava.rootdata import datum
+from zastava.series import series_coefficients
 from zastava.unipoly import UniPoly
 
 A1 = datum("A1")
@@ -135,15 +135,11 @@ def test_eta_requires_trigonometric():
         eta_shift(pt, 0)
 
 
-def test_series_closed_form_examples():
-    pt1 = from_coords(A1, [[F(2)]], [[F(3)]])
-    ring = series_closed_form(pt1, 0, 0).ring
-    assert series_closed_form(pt1, 0, 0) == ring.rat_var("y1_1")
-    w, y = ring.rat_var("w1_1"), ring.rat_var("y1_1")
-    assert series_closed_form(pt1, 0, 2) == y * w * w
+def test_closed_form_examples():
+    # one root: c_j = y w^j
+    assert series_coefficients([F(2)], [F(3)], 3) == [3, 6, 12]
     pt = _pt2()
-    c1 = series_closed_form(pt, 0, 1)
-    assert c1.evaluate(coordinate_assignment(pt)) == 5
+    assert series_coefficients(pt.w[0], pt.y[0], 2)[1] == 5
 
 
 def test_closed_form_matches_expansion():
@@ -157,10 +153,8 @@ def test_closed_form_matches_expansion():
                 ws.add(v)
         ys = [F(rng.randint(-9, 9)) for _ in range(a)]
         pt = from_coords(A1, [sorted(ws)], [ys])
-        assign = coordinate_assignment(pt)
         s = pt.series(0, 2 * a + 1)
-        for j in range(2 * a + 1):
-            assert series_closed_form(pt, 0, j).evaluate(assign) == s.coeff(j)
+        assert series_coefficients(pt.w[0], pt.y[0], 2 * a + 1) == list(s.coeffs)
 
 
 def test_json_round_trip(tmp_path):
@@ -172,6 +166,48 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "p.json"
     pt.save(str(path))
     assert ZastavaPoint.load(str(path)) == pt
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _point_documents(draw):
+    """A valid rank-one point document with up to two fields dropped or
+    replaced by arbitrary JSON."""
+    a = draw(st.integers(1, 3))
+    scalars = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    ws = draw(st.lists(scalars, min_size=a, max_size=a, unique=True))
+    ys = draw(st.lists(scalars, min_size=a, max_size=a))
+    doc = from_coords(A1, [ws], [ys]).to_json()
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+@pytest.mark.parametrize("scalar", ["1e99", "1/0", "x"])
+def test_point_document_rejects_bad_scalars(scalar):
+    doc = _pt2().to_json()
+    doc["R"] = [[scalar, "1"]]
+    with pytest.raises(ValueError):
+        ZastavaPoint.from_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_point_documents(), _JSON))
+def test_point_document_round_trips_or_rejects(doc):
+    try:
+        pt = ZastavaPoint.from_json(doc)
+    except ValueError:
+        return
+    assert ZastavaPoint.from_json(pt.to_json()) == pt
 
 
 def test_recover_coords():

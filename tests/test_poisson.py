@@ -154,6 +154,41 @@ def test_symplectic_rejects_bad_point():
         symplectic_form_trig(t)
 
 
+def _chart_point(table, rng):
+    """Distinct nonzero w across colors, nonzero y and B."""
+    ws = rng.sample([F(n, 3) for n in range(-30, 31) if n], len(table.coordinates))
+    return {c: w for c, w in zip(table.coordinates, ws)}
+
+
+@pytest.mark.parametrize("dat, degrees", [(A1, (2,)), (A2, (2, 1))])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_coordinate_bracket_at_point_matches_symbolic(dat, degrees, kind, extended):
+    table = BracketTable(dat, degrees, kind, extended=extended)
+    rng = random.Random(len(degrees))
+    for _ in range(2):
+        pt = _chart_point(table, rng)
+        for a in table.coordinates:
+            for b in table.coordinates:
+                assert table.coordinate_bracket(a, b, pt) == table.coordinate_bracket(a, b).evaluate(pt)
+        at_point = bivector_matrix(table, pt)
+        symbolic = bivector_matrix(table)
+        n = len(table.coordinates)
+        assert all(at_point[i, j] == symbolic[i, j].evaluate(pt) for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("dat, degrees", [(A1, (2,)), (A2, (2, 1))])
+def test_symplectic_form_at_point_matches_symbolic(dat, degrees):
+    table = BracketTable(dat, degrees, "trigonometric")
+    rng = random.Random(5)
+    n = len(table.coordinates)
+    symbolic = symplectic_form_trig(table)
+    for _ in range(3):
+        pt = _chart_point(table, rng)
+        at_point = symplectic_form_trig(table, pt)
+        assert all(at_point[i, j] == symbolic[i, j].evaluate(pt) for i in range(n) for j in range(n))
+
+
 def test_descent_a1():
     for kind in ("rational", "trigonometric"):
         for a in (1, 2):
