@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import bench as bench_mod
 from .cluster import initial_seed_sl2, log_canonicity_check, mutate
 from .minors import crosscheck_three_routes
-from .points import ZastavaPoint, coordinate_assignment, from_coords
+from .points import ZastavaPoint, coordinate_assignment, from_coords, recover_coords
 from .poisson import BracketTable, jacobi_report, symplectic_check_trig, verify_descent
 from .rational import parse_scalar
 from .rootdata import datum
@@ -180,7 +180,7 @@ def cmd_poisson(args) -> int:
 
 def cmd_cluster(args) -> int:
     with _reading():
-        pt = ZastavaPoint.load(args.point) if args.point else None
+        pt = recover_coords(ZastavaPoint.load(args.point)) if args.point else None
         seed = initial_seed_sl2(pt, args.a)
         trace = {
             "a": args.a,
@@ -239,16 +239,23 @@ def cmd_super(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    with _reading():
+        sizes = _parse_sizes(args.sizes)
+        strategies = tuple(args.strategies.split(","))
+        for s in strategies:
+            if s not in bench_mod.STRATEGIES:
+                raise ValueError(
+                    f"unknown determinant strategy {s!r}; "
+                    f"choose from {', '.join(bench_mod.STRATEGIES)}"
+                )
     pre = bench_mod.preflight(seed=_seed_from(args))
     if not pre["ok"]:
         sys.stderr.write(f"preflight failed: {json.dumps(_jsonable(pre))}\n")
         return 1
-    with _reading():
-        sizes = _parse_sizes(args.sizes)
     rows = bench_mod.bench(
         args.family,
         sizes,
-        strategies=tuple(args.strategies.split(",")),
+        strategies=strategies,
         seed=_seed_from(args),
         repeats=args.repeats,
     )

@@ -1,20 +1,38 @@
 """Exact multivariate rational functions.
 
-Polynomials are sparse monomial maps (exponent tuple -> Fraction) over a
-fixed ordered variable set shared through a ``Ring``.  Rational functions
-are numerator/denominator pairs; they are *not* kept in reduced form --
-equality is semantic (cross multiplication), and only cheap reductions
-(common monomial factor, denominator content) are applied after each
-operation.
+A polynomial is ``content * sum(terms[key] * monomial(key))`` over a fixed
+ordered variable set shared through a ``Ring``: a rational ``content`` and
+a primitive integer part, whose coefficients have gcd 1 and are positive
+at the largest key.  That form is unique, so equality is a comparison of
+fields; a product multiplies integers only (by Gauss's lemma the product
+of primitive parts is primitive), and scaling by a number changes the
+content alone.
+
+A monomial is one ``int`` key with a field of ``FIELD_BITS`` = 16 bits per
+variable, variable 0 in the most significant field, so integer order on
+keys is lexicographic order on exponent tuples and multiplying monomials
+adds keys (packed exponent vectors, Monagan & Pearce, CASC 2007).  The top
+bit of each field is a guard bit: exponents run from 0 to ``MAX_EXPONENT``
+= 2^15 - 1, ``Ring.pack`` rejects a larger one, and a product whose key
+sets a guard bit raises OverflowError, so an exponent never wraps into its
+neighbour.
+
+Rational functions are numerator/denominator pairs; they are *not* kept in
+reduced form -- equality is semantic (cross multiplication), and only cheap
+reductions (common monomial factor, denominator content) are applied after
+each operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
-Exponent = tuple[int, ...]
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class Ring:
@@ -25,22 +43,42 @@ class Ring:
             raise ValueError("duplicate variable names")
         self.names: tuple[str, ...] = tuple(names)
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
+        n = len(self.names)
+        # bit offset of each variable's field, and the guard bits of all fields
+        self.shifts: tuple[int, ...] = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.guard: int = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
 
     @property
     def nvars(self) -> int:
         return len(self.names)
 
+    def pack(self, exponents: Sequence[int]) -> int:
+        """The key of the monomial with these exponents (one per variable)."""
+        if len(exponents) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
+        key = 0
+        for k in exponents:
+            if k < 0:
+                raise ValueError("negative exponent")
+            if k > MAX_EXPONENT:
+                raise OverflowError(f"exponent {k} exceeds {MAX_EXPONENT}")
+            key = (key << FIELD_BITS) | k
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> s) & _FIELD for s in self.shifts)
+
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return MultiPoly(self, {}, Fraction(0))
 
     def const(self, c: Fraction | int) -> "MultiPoly":
         c = Fraction(c)
-        return MultiPoly(self, {} if c == 0 else {(0,) * self.nvars: c})
+        return MultiPoly(self, {} if c == 0 else {0: 1}, c)
 
     def var(self, name: str) -> "MultiPoly":
         e = [0] * self.nvars
         e[self.index[name]] = 1
-        return MultiPoly(self, {tuple(e): Fraction(1)})
+        return MultiPoly(self, {self.pack(e): 1}, Fraction(1))
 
     def rat_const(self, c: Fraction | int) -> "MultiRat":
         return MultiRat(self.const(c), self.const(1))
@@ -60,10 +98,30 @@ class Ring:
         return f"Ring({', '.join(self.names)})"
 
 
+def _primitive(ring: Ring, acc: Mapping[int, int], content: Fraction) -> "MultiPoly":
+    """content * acc in normal form: zero terms dropped, the integer part
+    divided by the gcd of its coefficients and by the sign of its largest key."""
+    acc = {k: v for k, v in acc.items() if v}
+    if not acc:
+        return ring.zero()
+    g = gcd(*acc.values())
+    if acc[max(acc)] < 0:
+        g = -g
+    if g != 1:
+        acc = {k: v // g for k, v in acc.items()}
+        content = content * g
+    return MultiPoly(ring, acc, content)
+
+
 @dataclass(frozen=True)
 class MultiPoly:
+    """``content * sum(terms[key] * monomial(key))`` with ``terms`` a
+    primitive integer part (see the module docstring); zero has no terms
+    and content 0."""
+
     ring: Ring
-    terms: Mapping[Exponent, Fraction]
+    terms: Mapping[int, int]
+    content: Fraction
 
     # -- predicates ----------------------------------------------------
 
@@ -74,10 +132,10 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.content == other.content and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.content, frozenset(self.terms.items())))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -87,17 +145,24 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MultiPoly(self.ring, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        # both contents are integer multiples u1, u2 of their gcd n / d
+        c1, c2 = self.content, other.content
+        n = gcd(c1.numerator, c2.numerator)
+        d = lcm(c1.denominator, c2.denominator)
+        u1 = c1.numerator // n * (d // c1.denominator)
+        u2 = c2.numerator // n * (d // c2.denominator)
+        acc = {k: u1 * v for k, v in self.terms.items()}
+        get = acc.get
+        for k, v in other.terms.items():
+            acc[k] = get(k, 0) + u2 * v
+        return _primitive(self.ring, acc, Fraction(n, d))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.ring, self.terms, -self.content)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -107,18 +172,25 @@ class MultiPoly:
             other = Fraction(other)
             if other == 0:
                 return self.ring.zero()
-            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly(self.ring, self.terms, self.content * other)
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultiPoly(self.ring, out)
+        if not self.terms or not other.terms:
+            return self.ring.zero()
+        # the product of primitive parts is primitive, and its largest key
+        # is the sum of theirs, with a positive coefficient: no normalising
+        acc: dict[int, int] = {}
+        get = acc.get
+        b = list(other.terms.items())
+        for ka, ca in self.terms.items():
+            for kb, cb in b:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        guard = self.ring.guard
+        if any(k & guard for k in acc):
+            raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
+        return MultiPoly(
+            self.ring, {k: v for k, v in acc.items() if v}, self.content * other.content
+        )
 
     __rmul__ = __mul__
 
@@ -130,34 +202,32 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- calculus / substitution ---------------------------------------
 
     def diff(self, name: str) -> "MultiPoly":
-        i = self.ring.index[name]
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        return MultiPoly(self.ring, out)
+        s = self.ring.shifts[self.ring.index[name]]
+        one = 1 << s
+        out: dict[int, int] = {}
+        for key, c in self.terms.items():
+            k = (key >> s) & _FIELD
+            if k:
+                out[key - one] = c * k
+        return _primitive(self.ring, out, self.content)
 
     def by_degree_in(self, name: str) -> list["MultiPoly"]:
         """Coefficients p_0..p_d of self = sum p_k * var^k (p_k free of var)."""
-        i = self.ring.index[name]
-        d = max((e[i] for e in self.terms), default=0)
-        buckets: list[dict[Exponent, Fraction]] = [{} for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            e2 = list(e)
-            k = e2[i]
-            e2[i] = 0
-            buckets[k][tuple(e2)] = c
-        return [MultiPoly(self.ring, b) for b in buckets]
+        s = self.ring.shifts[self.ring.index[name]]
+        d = max(((key >> s) & _FIELD for key in self.terms), default=0)
+        buckets: list[dict[int, int]] = [{} for _ in range(d + 1)]
+        for key, c in self.terms.items():
+            k = (key >> s) & _FIELD
+            buckets[k][key - (k << s)] = c
+        return [_primitive(self.ring, b, self.content) for b in buckets]
 
     def subs(self, name: str, value: "MultiRat") -> "MultiRat":
         """Substitute a rational function for a variable (Horner)."""
@@ -172,48 +242,52 @@ class MultiPoly:
         (``zastava.jet.Jet``); names outside the ring are ignored."""
         vals = [assignment.get(n) for n in self.ring.names]
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for key, c in self.terms.items():
             t = c
-            for i, k in enumerate(e):
+            for i, k in enumerate(self.ring.unpack(key)):
                 if k:
                     if vals[i] is None:
                         raise ValueError(f"unassigned variable {self.ring.names[i]}")
                     t *= vals[i] ** k
             total += t
-        return total
+        return self.content * total
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items()):
+        for key, v in sorted(self.terms.items()):
+            c = self.content * v
             mono = "*".join(
                 f"{self.ring.names[i]}^{k}" if k > 1 else self.ring.names[i]
-                for i, k in enumerate(e)
+                for i, k in enumerate(self.ring.unpack(key))
                 if k
             )
             parts.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
         return " + ".join(parts)
 
 
-def _common_monomial(*polys: MultiPoly) -> Exponent | None:
-    mins: list[int] | None = None
-    for p in polys:
+def _common_monomial(num: MultiPoly, den: MultiPoly) -> int:
+    """Key of the fieldwise minimum of all keys of num and den (0 when it
+    is the monomial 1), by SWAR: a field's guard bit in ((m | G) - e) & G
+    is set where m_i >= e_i, and spreading it over the field selects e_i."""
+    guard = num.ring.guard
+    low = FIELD_BITS - 1
+    m = None
+    for p in (num, den):
         for e in p.terms:
-            if mins is None:
-                mins = list(e)
+            if m is None:
+                m = e
             else:
-                mins = [min(a, b) for a, b in zip(mins, e)]
-    if mins is None or not any(mins):
-        return None
-    return tuple(mins)
+                sel = ((((m | guard) - e) & guard) >> low) * _FIELD
+                m = (e & sel) | (m & ~sel)
+            if not m:
+                return 0
+    return m
 
 
-def _shift_down(p: MultiPoly, mono: Exponent) -> MultiPoly:
-    return MultiPoly(
-        p.ring,
-        {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()},
-    )
+def _shift_down(p: MultiPoly, mono: int) -> MultiPoly:
+    return MultiPoly(p.ring, {key - mono: c for key, c in p.terms.items()}, p.content)
 
 
 class MultiRat:
@@ -227,11 +301,11 @@ class MultiRat:
         if num.ring is not den.ring:
             raise ValueError("numerator and denominator in different rings")
         # cheap canonicalisation: strip common monomial, scale den content to 1
-        mono = _common_monomial(num, den) if not num.is_zero else None
-        if mono is not None:
+        mono = _common_monomial(num, den) if not num.is_zero else 0
+        if mono:
             num = _shift_down(num, mono)
             den = _shift_down(den, mono)
-        scale = next(iter(sorted(den.terms.items())))[1] if den.terms else Fraction(1)
+        scale = den.content * den.terms[min(den.terms)]
         if scale != 1:
             inv = 1 / scale
             num = num * inv
@@ -322,8 +396,8 @@ class MultiRat:
         return self.num.evaluate(assignment) / d
 
     def depends_on(self, name: str) -> bool:
-        i = self.ring.index[name]
-        return any(e[i] for e in self.num.terms) or any(e[i] for e in self.den.terms)
+        field = _FIELD << self.ring.shifts[self.ring.index[name]]
+        return any(k & field for k in self.num.terms) or any(k & field for k in self.den.terms)
 
     def __str__(self) -> str:
         if self.den == self.ring.const(1):

@@ -193,11 +193,17 @@ def lagrange_interpolate(nodes: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
     return result
 
 
+# Largest constant or leading coefficient rational_roots searches the
+# divisors of; the trial-division search grows as its square root.
+RATIONAL_ROOT_BOUND = 2**40
+
+
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of p, with multiplicity, found by exact search.
 
     Clears denominators and runs the rational-root test on the resulting
-    integer polynomial.
+    integer polynomial; raises ValueError when its constant or leading
+    coefficient (after pulling out z = 0) exceeds RATIONAL_ROOT_BOUND.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -209,8 +215,14 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         work = poly_divmod(work, UniPoly.z())[0]
     if work.degree in (None, 0):
         return roots
-    a0 = abs(int(work.coeff(0) * _den_lcm(work)))
-    an = abs(int(work.coeffs[-1] * _den_lcm(work)))
+    scale = _den_lcm(work)
+    a0 = abs(int(work.coeff(0) * scale))
+    an = abs(int(work.coeffs[-1] * scale))
+    if max(a0, an) > RATIONAL_ROOT_BOUND:
+        raise ValueError(
+            "rational_roots: constant or leading coefficient, with denominators "
+            "cleared, exceeds the divisor-search limit 2^40"
+        )
     cands = set()
     for pnum in _divisors(a0):
         for qden in _divisors(an):

@@ -123,6 +123,7 @@ def test_corrupted_point_file(tmp_path, capsys):
 _POINT_DOCS = {
     "bad-scalar": {"type": "A1", "Q": [["3", "-4", "1"]], "R": ["x"]},
     "no-type": {"Q": [["3", "-4", "1"]], "R": [["1", "1"]]},
+    "wide": {"type": "A1", "Q": [[str(2**60 + 3), "0", "1"]], "R": [["1"]]},
 }
 
 
@@ -133,7 +134,10 @@ _POINT_DOCS = {
     ["minors", "--point", "missing.json"],
     ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "1", "--check", "jacobi"],
     ["cluster", "--a", "0"],
-], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0"])
+    ["cluster", "--a", "2", "--point", "wide.json"],
+    ["bench", "--family", "hankel", "--sizes", "2", "--strategies", "bareiss,foo"],
+], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
+        "root-search-bound", "bench-strategy"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
@@ -237,6 +241,17 @@ def test_super_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["exact_part"] == "23" and data["boundary"] == "-8"
     assert data["identity"]["ok"]
+
+
+def test_cluster_point_without_coordinates(tmp_path, capsys):
+    # a point file with Q and R only: the chart comes from the roots of Q
+    bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+    bare.write_text(json.dumps({"type": "A1", "Q": [["3", "-4", "1"]], "R": [["1", "1"]]}))
+    main(["point", "--w", "1,3", "--y", "2,4", "--out", str(full)])
+    capsys.readouterr()
+    runs = [_run(["cluster", "--a", "2", "--point", str(f), "--mutations", "2"], capsys)
+            for f in (bare, full)]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 def test_bench_command(capsys):

@@ -94,6 +94,16 @@ def test_rational_roots():
     assert rational_roots(UniPoly([1, 0, 1])) == []
 
 
+def test_rational_roots_rejects_wide_coefficients():
+    # trial division over a 60-bit constant or leading coefficient would run
+    # for minutes; the search stops at once with the limit in the message
+    for p in (UniPoly([2**60 + 3, 0, 1]), UniPoly([1, 0, 2**60 + 3]),
+              UniPoly([F(1, 2**60), 1])):
+        with pytest.raises(ValueError, match=r"2\^40"):
+            rational_roots(p)
+    assert rational_roots(UniPoly([-(2**40), 1])) == [F(2**40)]
+
+
 def test_json_round_trip():
     p = UniPoly([F(1, 3), F(-2), F(0), F(5)])
     assert UniPoly.from_json(p.to_json()) == p
