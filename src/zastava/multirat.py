@@ -17,10 +17,13 @@ bit of each field is a guard bit: exponents run from 0 to ``MAX_EXPONENT``
 sets a guard bit raises OverflowError, so an exponent never wraps into its
 neighbour.
 
-Rational functions are numerator/denominator pairs; they are *not* kept in
-reduced form -- equality is semantic (cross multiplication), and only cheap
-reductions (common monomial factor, denominator content) are applied after
-each operation.
+A rational function keeps its denominator factored: a monomial key and a
+multiset {primitive factor: exponent}, with all content in the numerator.
+A sum goes over the lcm of the two multisets (Henrici's rational addition,
+Knuth, *TAOCP* vol. 2, 4.5.1), a product adds exponents, and a derivative
+raises by one only the exponents of the factors that depend on the
+variable.  The numerator is not divided by the factors, so the form is not
+reduced: equality is semantic (the difference is zero).
 """
 
 from __future__ import annotations
@@ -81,10 +84,10 @@ class Ring:
         return MultiPoly(self, {self.pack(e): 1}, Fraction(1))
 
     def rat_const(self, c: Fraction | int) -> "MultiRat":
-        return MultiRat(self.const(c), self.const(1))
+        return _rat(self.const(c), 0, {})
 
     def rat_var(self, name: str) -> "MultiRat":
-        return MultiRat(self.var(name), self.const(1))
+        return _rat(self.var(name), 0, {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ring):
@@ -232,9 +235,9 @@ class MultiPoly:
     def subs(self, name: str, value: "MultiRat") -> "MultiRat":
         """Substitute a rational function for a variable (Horner)."""
         parts = self.by_degree_in(name)
-        acc = MultiRat(parts[-1], self.ring.const(1))
+        acc = _rat(parts[-1], 0, {})
         for p in reversed(parts[:-1]):
-            acc = acc * value + MultiRat(p, self.ring.const(1))
+            acc = acc * value + _rat(p, 0, {})
         return acc
 
     def evaluate(self, assignment: Mapping[str, object]):
@@ -267,61 +270,108 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def _common_monomial(num: MultiPoly, den: MultiPoly) -> int:
-    """Key of the fieldwise minimum of all keys of num and den (0 when it
-    is the monomial 1), by SWAR: a field's guard bit in ((m | G) - e) & G
-    is set where m_i >= e_i, and spreading it over the field selects e_i."""
-    guard = num.ring.guard
+def _min_key(m: int, keys, guard: int) -> int:
+    """Key of the fieldwise minimum of m and all keys (0 when it is the
+    monomial 1), by SWAR: a field's guard bit in ((m | G) - e) & G is set
+    where m_i >= e_i, and spreading it over the field selects e_i."""
     low = FIELD_BITS - 1
-    m = None
-    for p in (num, den):
-        for e in p.terms:
-            if m is None:
-                m = e
-            else:
-                sel = ((((m | guard) - e) & guard) >> low) * _FIELD
-                m = (e & sel) | (m & ~sel)
-            if not m:
-                return 0
+    for e in keys:
+        if not m:
+            return 0
+        sel = ((((m | guard) - e) & guard) >> low) * _FIELD
+        m = (e & sel) | (m & ~sel)
     return m
 
 
-def _shift_down(p: MultiPoly, mono: int) -> MultiPoly:
-    return MultiPoly(p.ring, {key - mono: c for key, c in p.terms.items()}, p.content)
+def _shift(p: MultiPoly, delta: int) -> MultiPoly:
+    """p times the monomial of key delta (delta >= 0), or divided by it
+    (delta < 0, every key of p a multiple of -delta)."""
+    if not delta:
+        return p
+    terms = {key + delta: c for key, c in p.terms.items()}
+    if delta > 0 and any(k & p.ring.guard for k in terms):
+        raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
+    return MultiPoly(p.ring, terms, p.content)
+
+
+def _split(p: MultiPoly) -> tuple[Fraction, int, "MultiPoly | None"]:
+    """A nonzero p as content * monomial * factor: the factor is primitive,
+    positive at its largest key, free of monomial factors, and None when
+    p is a single term."""
+    keys = iter(p.terms)
+    mono = _min_key(next(keys), keys, p.ring.guard)
+    if len(p.terms) == 1:
+        return p.content, mono, None
+    return p.content, mono, MultiPoly(p.ring, _shift(p, -mono).terms, Fraction(1))
+
+
+def _depends(p: MultiPoly, field: int) -> bool:
+    return any(k & field for k in p.terms)
 
 
 class MultiRat:
-    """Numerator/denominator pair with semantic equality."""
+    """``top / (monomial(mono) * prod(f**e for f, e in factors.items()))``.
 
-    __slots__ = ("num", "den")
+    The denominator is a multiset: a monomial key and primitive factors
+    (see ``_split``) with positive exponents.  A sum goes over the lcm of
+    the two multisets, so w - w' and w' - w, being one factor, never come
+    back raised to high powers.  No variable divides both ``mono`` and
+    every term of ``top``.  Equality is semantic.
+    """
+
+    __slots__ = ("top", "mono", "factors")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.ring is not den.ring:
             raise ValueError("numerator and denominator in different rings")
-        # cheap canonicalisation: strip common monomial, scale den content to 1
-        mono = _common_monomial(num, den) if not num.is_zero else 0
-        if mono:
-            num = _shift_down(num, mono)
-            den = _shift_down(den, mono)
-        scale = den.content * den.terms[min(den.terms)]
-        if scale != 1:
-            inv = 1 / scale
-            num = num * inv
-            den = den * inv
-        if num.is_zero:
-            den = num.ring.const(1)
-        self.num = num
-        self.den = den
+        c, mono, f = _split(den)
+        self._set(num * (1 / c), mono, {} if f is None else {f: 1})
+
+    def _set(self, top: MultiPoly, mono: int, factors: Mapping[MultiPoly, int]) -> None:
+        """Store top / (mono * factors), cancelling the common monomial;
+        ``factors`` is shared, never mutated afterwards."""
+        if top.is_zero:
+            mono, factors = 0, {}
+        elif mono:
+            guard = top.ring.guard
+            if mono & guard:
+                raise OverflowError(f"denominator exponent exceeds {MAX_EXPONENT}")
+            m = _min_key(mono, top.terms, guard)
+            if m:
+                top = _shift(top, -m)
+                mono -= m
+        self.top = top
+        self.mono = mono
+        self.factors = factors
 
     @property
     def ring(self) -> Ring:
-        return self.num.ring
+        return self.top.ring
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self.top.is_zero
+
+    def _expanded(self) -> tuple[MultiPoly, Fraction]:
+        """The denominator as a polynomial, and 1 over its coefficient at
+        the smallest key."""
+        den = MultiPoly(self.ring, {self.mono: 1}, Fraction(1))
+        for f, e in self.factors.items():
+            den = den * f**e
+        return den, Fraction(1, den.terms[min(den.terms)])
+
+    @property
+    def num(self) -> MultiPoly:
+        """Numerator over ``den``."""
+        return self.top * self._expanded()[1]
+
+    @property
+    def den(self) -> MultiPoly:
+        """The expanded denominator, scaled to 1 at its smallest key."""
+        den, scale = self._expanded()
+        return den * scale
 
     # -- arithmetic ----------------------------------------------------
 
@@ -329,19 +379,40 @@ class MultiRat:
         if isinstance(other, MultiRat):
             return other
         if isinstance(other, MultiPoly):
-            return MultiRat(other, self.ring.const(1))
+            return _rat(other, 0, {})
         return self.ring.rat_const(Fraction(other))
+
+    def _over(self, mono: int, factors: Mapping[MultiPoly, int]) -> MultiPoly:
+        """The numerator of self over a multiple (mono, factors) of its
+        denominator."""
+        top = _shift(self.top, mono - self.mono)
+        own = self.factors
+        for f, e in factors.items():
+            k = e - own.get(f, 0)
+            if k:
+                top = top * (f if k == 1 else f**k)
+        return top
 
     def __add__(self, other) -> "MultiRat":
         o = self._coerce(other)
-        if self.den == o.den:
-            return MultiRat(self.num + o.num, self.den)
-        return MultiRat(self.num * o.den + o.num * self.den, self.den * o.den)
+        if o.top.is_zero:
+            return self
+        if self.top.is_zero:
+            return o
+        if self.mono == o.mono and self.factors == o.factors:
+            return _rat(self.top + o.top, self.mono, self.factors)
+        # Henrici: the sum over the lcm of the two denominators
+        mono = self.mono + o.mono - _min_key(self.mono, (o.mono,), self.ring.guard)
+        factors = dict(self.factors)
+        for f, e in o.factors.items():
+            if factors.get(f, 0) < e:
+                factors[f] = e
+        return _rat(self._over(mono, factors) + o._over(mono, factors), mono, factors)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiRat":
-        return MultiRat(-self.num, self.den)
+        return _rat(-self.top, self.mono, self.factors)
 
     def __sub__(self, other) -> "MultiRat":
         return self + (-self._coerce(other))
@@ -351,28 +422,48 @@ class MultiRat:
 
     def __mul__(self, other) -> "MultiRat":
         o = self._coerce(other)
-        return MultiRat(self.num * o.num, self.den * o.den)
+        if not o.factors:
+            factors = self.factors
+        elif not self.factors:
+            factors = o.factors
+        else:
+            factors = dict(self.factors)
+            for f, e in o.factors.items():
+                factors[f] = factors.get(f, 0) + e
+        return _rat(self.top * o.top, self.mono + o.mono, factors)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiRat":
         o = self._coerce(other)
-        if o.num.is_zero:
+        if o.top.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return MultiRat(self.num * o.den, self.den * o.num)
+        c, mono, f = _split(o.top)
+        factors = dict(self.factors)
+        if f is not None:
+            factors[f] = factors.get(f, 0) + 1
+        top = _shift(self.top, o.mono) * (1 / c)
+        # o's denominator factors move up, cancelling against ours
+        for g, e in o.factors.items():
+            have = factors.pop(g, 0)
+            if have > e:
+                factors[g] = have - e
+            elif e > have:
+                top = top * (g if e - have == 1 else g ** (e - have))
+        return _rat(top, self.mono + mono, factors)
 
     def __rtruediv__(self, other) -> "MultiRat":
         return self._coerce(other) / self
 
     def __pow__(self, n: int) -> "MultiRat":
         if n < 0:
-            return self.ring.rat_const(1) / self ** (-n)
-        return MultiRat(self.num**n, self.den**n)
+            return (self.ring.rat_const(1) / self) ** (-n)
+        mono = self.ring.pack([k * n for k in self.ring.unpack(self.mono)]) if self.mono else 0
+        return _rat(self.top**n, mono, {f: e * n for f, e in self.factors.items()} if n else {})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, MultiPoly, MultiRat)):
-            o = self._coerce(other)
-            return (self.num * o.den - o.num * self.den).is_zero
+            return (self - self._coerce(other)).is_zero
         return NotImplemented
 
     def __hash__(self):
@@ -381,27 +472,73 @@ class MultiRat:
     # -- calculus / substitution ---------------------------------------
 
     def diff(self, name: str) -> "MultiRat":
-        n, d = self.num, self.den
-        return MultiRat(n.diff(name) * d - n * d.diff(name), d * d)
+        """The quotient rule with d(den)/den = k/x + sum e f'/f: only the
+        factors that depend on x, and the monomial field of x, gain one."""
+        ring = self.ring
+        s = ring.shifts[ring.index[name]]
+        k = (self.mono >> s) & _FIELD
+        dep = [(f, e) for f, e in self.factors.items() if _depends(f, _FIELD << s)]
+        top = self.top
+        dtop = top.diff(name)
+        if not dep and not k:
+            return _rat(dtop, self.mono, self.factors)
+        # P = prod f, S = sum e f' P / f over the dependent factors
+        P, S = ring.const(1), ring.zero()
+        for f, e in dep:
+            S = S * f + P * f.diff(name) * e
+            P = P * f
+        out = P * dtop - top * S
+        mono = self.mono
+        if k:
+            out = _shift(out, 1 << s) - top * P * k
+            mono += 1 << s
+        factors = dict(self.factors)
+        for f, e in dep:
+            factors[f] = e + 1
+        return _rat(out, mono, factors)
 
     def subs(self, name: str, value: "MultiRat | Fraction | int") -> "MultiRat":
+        """Substitute into the numerator and into each factor that depends
+        on the variable; raises ZeroDivisionError when one becomes 0."""
         v = self._coerce(value)
-        return self.num.subs(name, v) / self.den.subs(name, v)
+        ring = self.ring
+        s = ring.shifts[ring.index[name]]
+        k = (self.mono >> s) & _FIELD
+        den, rest = v**k, {}
+        for f, e in self.factors.items():
+            if _depends(f, _FIELD << s):
+                den = den * f.subs(name, v) ** e
+            else:
+                rest[f] = e
+        return self.top.subs(name, v) * _rat(ring.const(1), self.mono - (k << s), rest) / den
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Value at numbers or jets; raises ZeroDivisionError at a pole."""
-        d = self.den.evaluate(assignment)
+        d = MultiPoly(self.ring, {self.mono: 1}, Fraction(1)).evaluate(assignment)
+        for f, e in self.factors.items():
+            d = d * f.evaluate(assignment) ** e
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at the given point")
-        return self.num.evaluate(assignment) / d
+        return self.top.evaluate(assignment) / d
 
     def depends_on(self, name: str) -> bool:
         field = _FIELD << self.ring.shifts[self.ring.index[name]]
-        return any(k & field for k in self.num.terms) or any(k & field for k in self.den.terms)
+        return (
+            bool(self.mono & field)
+            or _depends(self.top, field)
+            or any(_depends(f, field) for f in self.factors)
+        )
 
     def __str__(self) -> str:
-        if self.den == self.ring.const(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        if not self.mono and not self.factors:
+            return str(self.top)
+        den, scale = self._expanded()
+        return f"({self.top * scale}) / ({den * scale})"
 
     __repr__ = __str__
+
+
+def _rat(top: MultiPoly, mono: int, factors: Mapping[MultiPoly, int]) -> MultiRat:
+    r = MultiRat.__new__(MultiRat)
+    r._set(top, mono, factors)
+    return r

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -59,8 +60,14 @@ class VerificationReport:
 
 
 def _timed(report: VerificationReport, identifier: str, fn: Callable[[], tuple[bool, object]]) -> None:
+    """Run one check and record it; a check that raises is a failure whose
+    witness names the exception (the traceback goes to stderr)."""
     t0 = time.perf_counter_ns()
-    ok, witness = fn()
+    try:
+        ok, witness = fn()
+    except Exception as exc:  # one broken check must not end the report
+        traceback.print_exc()
+        ok, witness = False, {"reason": f"{type(exc).__name__}: {exc}"}
     report.add(identifier, ok, witness, time.perf_counter_ns() - t0)
 
 
@@ -191,6 +198,8 @@ _BRACKET_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("A1", (2,)),
     ("A2", (1, 1)),
     ("A2", (2, 1)),
+    ("B2", (2, 1)),
+    ("C3", (1, 1, 1)),
 )
 
 
@@ -226,6 +235,11 @@ _DESCENT_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("A1", (2,)),
     ("A1", (3,)),
     ("A2", (1, 1)),
+    ("A1", (4,)),
+    ("A2", (2, 1)),
+    ("A2", (3, 2)),
+    ("B2", (2, 1)),
+    ("C3", (1, 1, 1)),
 )
 
 

@@ -274,3 +274,30 @@ def test_output_file(tmp_path, capsys):
                  "--output", str(outfile)])
     assert code == 0
     assert json.loads(outfile.read_text())["ok"]
+
+
+def test_verify_records_a_raising_check(capsys, monkeypatch):
+    from zastava import verify
+
+    original = verify.jacobi_report
+
+    def broken(table, triples=None):
+        if (table.datum.label, table.degrees, table.kind) == ("A2", (2, 1), "rational"):
+            raise RuntimeError("broken check")
+        return original(table, triples)
+
+    monkeypatch.setattr(verify, "jacobi_report", broken)
+    argv = ["verify", "--profile", "jacobi", "--no-timing", "--rng", "1"]
+    code, out = _run(argv, capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert not data["ok"]
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id.pop("jacobi-A2-2-1-rational") == {
+        "id": "jacobi-A2-2-1-rational",
+        "status": "fail",
+        "witness": {"reason": "RuntimeError: broken check"},
+    }
+    assert by_id and all(c["status"] == "pass" for c in by_id.values())
+    assert len(data["checks"]) == 2 * len(verify._BRACKET_CONFIGS)
+    assert _run(argv, capsys) == (code, out)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zastava.jet import Jet
 from zastava.multirat import MAX_EXPONENT, MultiPoly, MultiRat, Ring
 from zastava.series import series_coefficients
 
@@ -52,6 +53,10 @@ def test_subs_and_evaluate():
 def test_depends_on():
     f = (x + y) / (x - y)
     assert f.depends_on("x") and f.depends_on("y") and not f.depends_on("z")
+    # through a denominator factor or the denominator monomial alone
+    g = z / (x - y)
+    assert g.depends_on("x") and g.depends_on("y") and g.depends_on("z")
+    assert (1 / x).depends_on("x") and not (1 / x).depends_on("y")
 
 
 def test_pow():
@@ -91,10 +96,92 @@ def test_str_pins_term_order_and_normal_form():
     assert str((x + y) * (x - y)) == "-1*y^2 + x^2"
     g = (x * y * z + F(1, 2) * x**2 * z) / (F(2, 3) * x * z**2 - y * z)
     assert str(g) == "(-1*x*y + -1/2*x^2) / (y + -2/3*x*z)"
-    assert str(f.diff("y")) == (
-        "(4/3*y^2*z^2 + 1/9*x*z + -1/3*x^2*z^2 + 4/9*x^2*y^2*z + 1/27*x^3 + -1/9*x^4*z)"
-        " / (y^2*z^2 + 2/3*x^2*y^2*z + 1/9*x^4*y^2)"
-    )
+    # the derivative raises the factor 3*z + x^2 and keeps the monomial y
+    df = f.diff("y")
+    assert str(df) == "(4/3*y^2*z + 1/9*x + -1/3*x^2*z) / (y^2*z + 1/3*x^2*y^2)"
+    # ... and equals the quotient over the squared denominator
+    squared = (
+        F(4, 3) * y**2 * z**2 + F(1, 9) * x * z - F(1, 3) * x**2 * z**2
+        + F(4, 9) * x**2 * y**2 * z + F(1, 27) * x**3 - F(1, 9) * x**4 * z
+    ) / (y**2 * z**2 + F(2, 3) * x**2 * y**2 * z + F(1, 9) * x**4 * y**2)
+    assert df == squared
+
+
+def test_factor_multiset():
+    # w - w' and w' - w are one factor, stored positive at its largest key
+    a, b = 1 / (x - y), -1 / (y - x)
+    assert len(a.factors) == 1 and a.factors == b.factors and a.top == b.top
+    assert len((a + b).factors) == 1
+    # a sum goes over the lcm: the larger exponent of a shared factor
+    s = a + a * a / z
+    assert s.factors == {(x - y).top: 2} and s * (x - y) ** 2 * z == (x - y) * z + 1
+    # a derivative raises only the factors that depend on the variable
+    f = (x - y) ** -2 / z
+    assert f.factors == {(x - y).top: 2}
+    fx = f.diff("x")
+    assert fx.factors == {(x - y).top: 3} and fx.mono == f.mono
+    assert fx == -2 / ((x - y) ** 3 * z)
+    fz = f.diff("z")
+    assert fz.factors == f.factors and fz == -f / z
+    # a factor that becomes zero is a division by zero
+    with pytest.raises(ZeroDivisionError):
+        a.subs("y", x)
+    assert (a * (x - y)).subs("y", z) == 1
+
+
+_POINT = st.fractions(-5, 5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _factored(draw):
+    """c * (product of linear forms) / (monomial * product of linear forms),
+    built by one division per factor; forms drawn from a small pool (up to
+    sign and scale) repeat factors with different exponents."""
+    def form():
+        a, b, c, d = draw(st.one_of(
+            st.sampled_from([(1, -1, 0, 0), (0, 1, 0, 2), (1, 0, 1, -1)]),
+            st.tuples(*[st.integers(-2, 2)] * 4).filter(lambda t: any(t[:3])),
+        ))
+        return (a * x + b * y + c * z + d) * draw(st.sampled_from([1, -1, F(2, 3)]))
+
+    q = R.rat_const(draw(st.fractions(-4, 4, max_denominator=3).filter(bool)))
+    for _ in range(draw(st.integers(0, 2))):
+        q = q * form()
+    for _ in range(draw(st.integers(0, 3))):
+        q = q / form()
+    for v, k in zip((x, y, z), draw(st.tuples(*[st.integers(0, 2)] * 3))):
+        q = q / v**k
+    return q
+
+
+def _value(f, point):
+    try:
+        return f.evaluate(point)
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factored(), _factored(), st.integers(-2, 3), st.sampled_from("xyz"),
+       st.fixed_dictionaries({n: _POINT for n in "xyz"}))
+def test_factored_ops_match_values(a, b, n, name, point):
+    va, vb = _value(a, point), _value(b, point)
+    if va is None or vb is None or va == 0 or vb == 0:
+        return
+    assert (a + b).evaluate(point) == va + vb
+    assert (a - b).evaluate(point) == va - vb
+    assert (a * b).evaluate(point) == va * vb
+    assert (a / b).evaluate(point) == va / vb
+    assert (a**n).evaluate(point) == va**n
+    # the derivative against the gradient of exact jets at the point
+    names = ("x", "y", "z")
+    jets = {v: Jet.coordinate(v, point, names) for v in names}
+    grad = (Jet.constant(0, 3) + a.evaluate(jets)).grad
+    assert a.diff(name).evaluate(point) == grad[names.index(name)]
+    # substituting b for the variable, against a at the moved point
+    expect = _value(a, {**point, name: vb})
+    if expect is not None:
+        assert a.subs(name, b).evaluate(point) == expect
 
 
 def test_exponent_overflow_raises():

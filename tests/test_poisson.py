@@ -201,3 +201,32 @@ def test_descent_a1():
 def test_descent_a2():
     for kind in ("rational", "trigonometric"):
         assert verify_descent(A2, (1, 1), kind)["ok"]
+
+
+def _scaled_bracket(monkeypatch, pair, scale):
+    """Patch BracketTable so that the coordinate bracket {pair} (and, by
+    antisymmetry, its reverse) is multiplied by scale."""
+    original = BracketTable.coordinate_bracket
+
+    def patched(self, a, b, point=None):
+        value = original(self, a, b, point)
+        return value * scale if (a, b) == pair else value
+
+    monkeypatch.setattr(BracketTable, "coordinate_bracket", patched)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_negative_control_qr(monkeypatch, kind):
+    assert verify_descent(A1, (4,), kind)["ok"]
+    _scaled_bracket(monkeypatch, ("w1_2", "y1_2"), 2)
+    rep = verify_descent(A1, (4,), kind)
+    assert not rep["ok"] and not rep["checks"]["QR"]
+
+
+@pytest.mark.parametrize("dat, degrees", [(A2, (2, 2)), (datum("B2"), (2, 1))])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_negative_control_rrx(monkeypatch, dat, degrees, kind):
+    assert verify_descent(dat, degrees, kind)["ok"]
+    _scaled_bracket(monkeypatch, ("y1_1", "y2_1"), F(3, 2))
+    rep = verify_descent(dat, degrees, kind)
+    assert not rep["ok"] and not rep["checks"]["RRx"]
