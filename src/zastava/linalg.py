@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Sequence
 
 from .series import InfSeries
@@ -59,11 +59,8 @@ def _det_bareiss(m: ExactMatrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    denlcm = 1
-    for row in m.entries:
-        for x in row:
-            denlcm = denlcm * x.denominator // gcd(denlcm, x.denominator)
-    a = [[int(x * denlcm) for x in row] for row in m.entries]
+    denlcm = lcm(*(x.denominator for row in m.entries for x in row))
+    a = [[x.numerator * (denlcm // x.denominator) for x in row] for row in m.entries]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -168,23 +165,41 @@ def det(m: ExactMatrix, strategy: str = "bareiss") -> object:
 
 
 def solve_linear(a: ExactMatrix, b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a*x = b exactly by Gaussian elimination; raises on singular a."""
+    """Solve a*x = b exactly; raises on singular a.
+
+    Each equation is scaled to integers by the lcm of its denominators, the
+    augmented system is reduced by fraction-free (Bareiss) elimination, and
+    back substitution runs on the integers y = D*x, where D is the last
+    pivot (the determinant of the row-permuted integer system, so that
+    Cramer's rule makes every y_i an integer).
+    """
     if not a.is_square or a.rows != len(b):
         raise ValueError("dimension mismatch in linear solve")
     n = a.rows
-    aug = [list(row) + [Fraction(v)] for row, v in zip(a.entries, b)]
+    aug = []
+    for row, v in zip(a.entries, b):
+        row = [*row, v]
+        den = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (den // x.denominator) for x in row])
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
         if piv is None:
             raise ValueError("singular linear system")
         aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
+        pk = aug[k]
+        for i in range(k + 1, n):
+            ri = aug[i]
+            f = ri[k]
+            aug[i] = [0] * (k + 1) + [
+                (x * pk[k] - f * y) // prev for x, y in zip(ri[k + 1 :], pk[k + 1 :])
+            ]
+        prev = pk[k]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = prev * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // aug[i][i]
+    return [Fraction(v, prev) for v in y]
 
 
 # -- Hankel matrices and minors -------------------------------------------

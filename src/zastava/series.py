@@ -44,7 +44,7 @@ def series_expand(R: UniPoly, Q: UniPoly, n: int) -> InfSeries:
     assert a is not None
     if not R.is_zero and R.degree >= a:
         raise ValueError("numerator degree must be below denominator degree")
-    lead = Q.coeffs[-1]
+    lead = Q.coeff(a)
     cs: list[Fraction] = []
     for j in range(n):
         acc = R.coeff(a - 1 - j)

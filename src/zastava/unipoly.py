@@ -1,6 +1,9 @@
 """Exact univariate polynomials in z over the rationals.
 
-Coefficients are stored lowest degree first with trailing zeros trimmed.
+A polynomial is stored as integer numerators over one positive common
+denominator, lowest degree first, in normal form: trailing zeros trimmed and
+gcd(den, numerators) = 1, so equal polynomials have equal fields and equal
+hashes.  ``coeffs`` and ``coeff(k)`` read the coefficients as Fractions.
 The degree of the zero polynomial is ``None`` (an explicit sentinel), never
 an integer.
 """
@@ -9,20 +12,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .rational import format_scalar, parse_scalar
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class UniPoly:
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
+        cs = []
+        for c in coeffs:
+            if isinstance(c, float):
+                raise TypeError(f"float coefficient {c!r} is not exact")
+            cs.append(c if isinstance(c, int) else Fraction(c))
+        den = lcm(*(c.denominator for c in cs))
+        _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- constructors -------------------------------------------------
 
@@ -32,7 +43,7 @@ class UniPoly:
 
     @staticmethod
     def const(c: Fraction | int) -> "UniPoly":
-        return UniPoly((Fraction(c),))
+        return UniPoly((c,))
 
     @staticmethod
     def z() -> "UniPoly":
@@ -40,67 +51,86 @@ class UniPoly:
 
     @staticmethod
     def monomial(k: int, c: Fraction | int = 1) -> "UniPoly":
-        return UniPoly((0,) * k + (Fraction(c),))
+        return UniPoly((0,) * k + (c,))
 
     @staticmethod
     def from_roots(roots: Sequence[Fraction]) -> "UniPoly":
-        p = UniPoly.const(1)
-        for w in roots:
-            p = p * UniPoly((-Fraction(w), Fraction(1)))
-        return p
+        """prod (z - w), as the primitive integer product of the (q z - p) for
+        w = p/q, over the product of the q."""
+        nums, den = [1], 1
+        for w in map(Fraction, roots):
+            p, q = w.numerator, w.denominator
+            nums = [q * b - p * a for a, b in zip(nums + [0], [0] + nums)]
+            den *= q
+        return _of(nums, den)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def degree(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of z^k; zero outside the stored range (including k<0)."""
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.nums):
             return self.coeffs[k]
-        return Fraction(0)
+        return _ZERO
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x), by homogeneous Horner on x = p/q with one Fraction at the end."""
+        if not self.nums:
+            return _ZERO
+        return Fraction(
+            _horner(self.nums, x.numerator, x.denominator),
+            self.den * x.denominator ** (len(self.nums) - 1),
+        )
+
+    def __repr__(self) -> str:
+        return f"UniPoly(coeffs={self.coeffs!r})"
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        out = [c * ma for c in self.nums] + [0] * (len(other.nums) - len(self.nums))
+        for k, c in enumerate(other.nums):
+            out[k] += c * mb
+        return _of(out, den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(k) - other.coeff(k) for k in range(n))
+        return self + -other
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
+        return _of([-c for c in self.nums], self.den)
 
     def __mul__(self, other: "UniPoly | Fraction | int") -> "UniPoly":
         if isinstance(other, (Fraction, int)):
-            return UniPoly(c * other for c in self.coeffs)
+            return _of(
+                [c * other.numerator for c in self.nums], self.den * other.denominator
+            )
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    out[i + j] += a * b
+        return _of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -108,10 +138,10 @@ class UniPoly:
         """Multiply by z^k (k >= 0)."""
         if self.is_zero:
             return self
-        return UniPoly((0,) * k + tuple(self.coeffs))
+        return _of([0] * k + list(self.nums), self.den)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return _of([k * c for k, c in enumerate(self.nums) if k > 0], self.den)
 
     # -- serialization ---------------------------------------------------
 
@@ -139,26 +169,80 @@ class UniPoly:
         return " + ".join(parts)
 
 
+def _of(nums: list[int], den: int = 1) -> UniPoly:
+    """The polynomial sum nums[k] z^k / den (den nonzero)."""
+    p = object.__new__(UniPoly)
+    _init(p, nums, den)
+    return p
+
+
+def _init(p: UniPoly, nums: list[int], den: int) -> None:
+    """Store nums/den on p in normal form."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    object.__setattr__(p, "nums", tuple(nums))
+    object.__setattr__(p, "den", den)
+
+
+def _horner(nums: Sequence[int], p: int, q: int) -> int:
+    """q^n * P(p/q) for the integer polynomial P of degree n = len(nums)-1."""
+    acc, qk = 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _div_linear(nums: Sequence[int], p: int, q: int) -> list[int]:
+    """P / (q z - p) for an integer P that the primitive (q z - p) divides."""
+    out = [0] * (len(nums) - 1)
+    carry = 0
+    for k in range(len(nums) - 1, 0, -1):
+        carry = (nums[k] + p * carry) // q
+        out[k - 1] = carry
+    return out
+
+
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Exact division with remainder: a = q*b + r with deg r < deg b."""
+    """Exact division with remainder: a = q*b + r with deg r < deg b.
+
+    Pseudo-division on the numerators, rescaling the remainder only when the
+    leading numerator of b does not divide its top coefficient.
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(a.coeffs)
-    db = b.degree
-    assert db is not None
-    lead = b.coeffs[-1]
-    if len(rem) - 1 < db:
+    db = len(b.nums) - 1
+    if len(a.nums) - 1 < db:
         return UniPoly.zero(), a
-    quot = [Fraction(0)] * (len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k]
-        if c == 0:
+    rem = list(a.nums)
+    lead = b.nums[-1]
+    quot = [0] * (len(rem) - db)
+    scale = 1  # quot * b.nums + rem == scale * a.nums throughout
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db]
+        if not c:
             continue
-        f = c / lead
-        quot[k - db] = f
-        for j in range(db + 1):
-            rem[k - db + j] -= f * b.coeffs[j]
-    return UniPoly(quot), UniPoly(rem)
+        g = gcd(c, lead)
+        s = lead // g
+        if s != 1:
+            rem = [x * s for x in rem]
+            quot = [x * s for x in quot]
+            scale *= s
+        f = c // g
+        quot[k] = f
+        for j, bj in enumerate(b.nums):
+            rem[k + j] -= f * bj
+    # a = (quot * b.den / (scale * a.den)) * b + rem / (scale * a.den)
+    den = scale * a.den
+    return _of([x * b.den for x in quot], den), _of(rem, den)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -167,29 +251,30 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         a, b = b, poly_divmod(a, b)[1]
     if a.is_zero:
         return a
-    return a * (1 / a.coeffs[-1])
+    return _of(list(a.nums), a.nums[-1])
 
 
 def lagrange_interpolate(nodes: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
     """The unique polynomial of degree < len(nodes) through the given points.
 
-    Node abscissae must be pairwise distinct.
+    Node abscissae must be pairwise distinct.  With B_r the integer product
+    of (q_s z - p_s) over s != r, the interpolant is sum_r v_r B_r / B_r(w_r).
     """
     ws = [Fraction(w) for w, _ in nodes]
     if len(set(ws)) != len(ws):
         raise ValueError("repeated abscissa in interpolation nodes")
+    # the product of all the (q_s z - p_s): primitive, so normalising keeps it whole
+    full = UniPoly.from_roots(ws).nums
     result = UniPoly.zero()
-    for r, (w, v) in enumerate(nodes):
+    for w, (_, v) in zip(ws, nodes):
+        v = Fraction(v)
         if v == 0:
             continue
-        basis = UniPoly.const(1)
-        denom = Fraction(1)
-        for s, (ws_, _) in enumerate(nodes):
-            if s == r:
-                continue
-            basis = basis * UniPoly((-Fraction(ws_), Fraction(1)))
-            denom *= Fraction(w) - Fraction(ws_)
-        result = result + basis * (Fraction(v) / denom)
+        p, q = w.numerator, w.denominator
+        basis = _div_linear(full, p, q)
+        at_w = _horner(basis, p, q)  # q^(n-1) B_r(w_r)
+        scale = v.numerator * q ** (len(basis) - 1)
+        result = result + _of([c * scale for c in basis], at_w * v.denominator)
     return result
 
 
@@ -199,49 +284,36 @@ RATIONAL_ROOT_BOUND = 2**40
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of p, with multiplicity, found by exact search.
+    """All rational roots of p, with multiplicity: z = 0 first, then ascending.
 
-    Clears denominators and runs the rational-root test on the resulting
-    integer polynomial; raises ValueError when its constant or leading
-    coefficient (after pulling out z = 0) exceeds RATIONAL_ROOT_BOUND.
+    Runs the rational-root test on the integer numerators: each coprime
+    candidate c/d with c | constant and d | leading coefficient is tested by
+    integer Horner and divided out exactly.  Raises ValueError when the
+    constant or leading numerator (after pulling out z = 0) exceeds
+    RATIONAL_ROOT_BOUND.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
-    roots: list[Fraction] = []
-    work = p
-    # pull out z = 0 first
-    while not work.is_zero and work.coeff(0) == 0:
-        roots.append(Fraction(0))
-        work = poly_divmod(work, UniPoly.z())[0]
-    if work.degree in (None, 0):
-        return roots
-    scale = _den_lcm(work)
-    a0 = abs(int(work.coeff(0) * scale))
-    an = abs(int(work.coeffs[-1] * scale))
-    if max(a0, an) > RATIONAL_ROOT_BOUND:
+    zeros = next(k for k, c in enumerate(p.nums) if c)
+    work = list(p.nums[zeros:])
+    if len(work) == 1:
+        return [Fraction(0)] * zeros
+    if max(abs(work[0]), abs(work[-1])) > RATIONAL_ROOT_BOUND:
         raise ValueError(
             "rational_roots: constant or leading coefficient, with denominators "
             "cleared, exceeds the divisor-search limit 2^40"
         )
-    cands = set()
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            cands.add(Fraction(pnum, qden))
-            cands.add(Fraction(-pnum, qden))
-    for cand in sorted(cands):
-        while not work.is_zero and work(cand) == 0:
-            roots.append(cand)
-            work = poly_divmod(work, UniPoly((-cand, Fraction(1))))[0]
-    return roots
-
-
-def _den_lcm(p: UniPoly) -> int:
-    from math import gcd
-
-    out = 1
-    for c in p.coeffs:
-        out = out * c.denominator // gcd(out, c.denominator)
-    return out
+    roots: list[Fraction] = []
+    dens = _divisors(work[-1])
+    for c in _divisors(work[0]):
+        for d in dens:
+            if gcd(c, d) != 1:
+                continue
+            for cand in (c, -c):
+                while len(work) > 1 and _horner(work, cand, d) == 0:
+                    roots.append(Fraction(cand, d))
+                    work = _div_linear(work, cand, d)
+    return [Fraction(0)] * zeros + sorted(roots)
 
 
 def _divisors(n: int) -> list[int]:

@@ -114,8 +114,32 @@ def test_solve_linear():
     a = ExactMatrix([[2, 1], [1, 3]])
     x = solve_linear(a, [F(5), F(10)])
     assert x == [F(1), F(3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^singular linear system$"):
         solve_linear(ExactMatrix([[1, 1], [2, 2]]), [F(1), F(1)])
+    with pytest.raises(ValueError, match="^singular linear system$"):
+        solve_linear(ExactMatrix([[F(1, 2), 1, 0], [1, 2, 0], [0, 0, F(1, 3)]]), [1, 2, 3])
+
+
+def test_solve_linear_random_exact():
+    rng = random.Random(11)
+
+    def check(rows, b):
+        x = solve_linear(ExactMatrix(rows), b)
+        assert all(isinstance(v, F) for v in x)
+        assert [sum(r * v for r, v in zip(row, x)) for row in rows] == list(b)
+
+    # a zero (0,0) entry forces a row swap; plain ints take the int lift
+    check([[0, F(2, 3), 1], [F(1, 5), 0, -1], [3, F(-1, 7), F(2, 9)]], [F(1, 2), 0, F(-4, 3)])
+    check([[0, 1], [1, 0]], [F(3, 4), F(-5, 6)])
+    check([[3, 1, -2], [4, 0, 5], [1, -1, 1]], [7, -2, 0])
+    solved = 0
+    while solved < 20:
+        n = rng.randint(1, 7)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+        if det(ExactMatrix(rows)) == 0:
+            continue
+        check(rows, [F(rng.randint(-20, 20), rng.randint(1, 30)) for _ in range(n)])
+        solved += 1
 
 
 def test_symbolic_det_cap():
