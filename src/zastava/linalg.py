@@ -4,14 +4,16 @@ Covers the three cross-checking determinant routes (fraction-free Bareiss
 on an integer lift, cofactor expansion with memoization, and Bird's
 division-free scheme), Hankel matrices/minors of a Laurent series, the
 Sylvester matrix in the row arrangement used throughout this package, and
-the odd/even sub-resultant minors cut from it.
+the odd/even sub-resultant minors cut from it.  One integer Bareiss kernel,
+``_det_int``, runs behind ``det``, the sub-resultants (on the numerators of
+the Sylvester rows) and the wedge windows of ``zastava.minors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .series import InfSeries
@@ -54,13 +56,13 @@ class ExactMatrix:
 # -- determinant strategies ---------------------------------------------
 
 
-def _det_bareiss(m: ExactMatrix) -> Fraction:
-    """Fraction-free Bareiss on a common-denominator integer lift."""
-    n = m.rows
+def _det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination with row swaps; ``rows`` is overwritten."""
+    n = len(rows)
     if n == 0:
-        return Fraction(1)
-    denlcm = lcm(*(x.denominator for row in m.entries for x in row))
-    a = [[x.numerator * (denlcm // x.denominator) for x in row] for row in m.entries]
+        return 1
+    a = rows
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -71,12 +73,26 @@ def _det_bareiss(m: ExactMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
+        pk = a[k]
+        p = pk[k]
         for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], denlcm**n)
+                ri[j] = (ri[j] * p - f * pk[j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
+def _det_bareiss(m: ExactMatrix) -> Fraction:
+    """Bareiss on a common-denominator integer lift."""
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    denlcm = lcm(*(x.denominator for row in m.entries for x in row))
+    a = [[x.numerator * (denlcm // x.denominator) for x in row] for row in m.entries]
+    return Fraction(_det_int(a), denlcm**n)
 
 
 def _det_cofactor(m: ExactMatrix) -> object:
@@ -233,13 +249,9 @@ def _hankel(c: InfSeries, size: int, offset: int) -> ExactMatrix:
 # -- Sylvester arrangement and sub-resultants ------------------------------
 
 
-def sylvester_matrix(Q: UniPoly, R: UniPoly) -> ExactMatrix:
-    """(2a-1) x (2a-1) Sylvester matrix of a monic Q (deg a) and R (deg < a).
-
-    Rows 1..a-1 carry shifted (1, q_{a-1}, ..., q_0); rows a..2a-1 carry the
-    R coefficients with r_{a-1} starting at column a and marching left, so
-    the bottom row is (r_{a-1}, ..., r_0, 0, ..., 0).
-    """
+def _sylvester_rows(Q: UniPoly, R: UniPoly) -> tuple[list[list[int]], list[int]]:
+    """The rows of sylvester_matrix(Q, R) as integer numerators, and the
+    denominator of each row (Q.den for the Q-rows, R.den for the R-rows)."""
     a = Q.degree
     if a is None or a < 1:
         raise ValueError("Q must have degree >= 1")
@@ -247,24 +259,31 @@ def sylvester_matrix(Q: UniPoly, R: UniPoly) -> ExactMatrix:
         raise ValueError("Q must be monic")
     if not R.is_zero and R.degree >= a:
         raise ValueError("R must have degree < deg Q")
-    n = 2 * a - 1
-    rows = []
-    for t in range(1, a):  # Q-rows
-        # entry at column c (1-based): q_{a - c + t}, with q_a = 1
-        rows.append(
-            [
-                Q.coeff(a - c + t) if 0 <= a - c + t <= a else Fraction(0)
-                for c in range(1, n + 1)
-            ]
-        )
-    for u in range(1, a + 1):  # R-rows, reversed stacking
-        rows.append(
-            [
-                R.coeff(2 * a - u - c) if 0 <= 2 * a - u - c < a else Fraction(0)
-                for c in range(1, n + 1)
-            ]
-        )
-    return ExactMatrix(rows)
+    # Q-row t (t = 1..a-1) holds q_a = Q.den, ..., q_0 from column t on;
+    # R-row u (u = 1..a) holds r_{a-1}, ..., r_0 from column a - u + 1 on
+    q = list(Q.nums[::-1])
+    r = [0] * (a - len(R.nums)) + list(R.nums[::-1])
+    rows = [[0] * (t - 1) + q + [0] * (a - 1 - t) for t in range(1, a)]
+    rows += [[0] * (a - u) + r + [0] * (u - 1) for u in range(1, a + 1)]
+    return rows, [Q.den] * (a - 1) + [R.den] * a
+
+
+def sylvester_matrix(Q: UniPoly, R: UniPoly) -> ExactMatrix:
+    """(2a-1) x (2a-1) Sylvester matrix of a monic Q (deg a) and R (deg < a).
+
+    Rows 1..a-1 carry shifted (1, q_{a-1}, ..., q_0); rows a..2a-1 carry the
+    R coefficients with r_{a-1} starting at column a and marching left, so
+    the bottom row is (r_{a-1}, ..., r_0, 0, ..., 0).
+    """
+    rows, dens = _sylvester_rows(Q, R)
+    return ExactMatrix([[Fraction(x, d) for x in row] for row, d in zip(rows, dens)])
+
+
+def _sylvester_minor(Q: UniPoly, R: UniPoly, rows: Sequence[int], cols: slice) -> Fraction:
+    """det of sylvester_matrix(Q, R) cut to rows x cols, on the numerators."""
+    full, dens = _sylvester_rows(Q, R)
+    num = _det_int([full[i][cols] for i in rows])
+    return Fraction(num, prod(dens[i] for i in rows))
 
 
 def subresultant_odd(Q: UniPoly, R: UniPoly, i: int) -> Fraction:
@@ -275,9 +294,7 @@ def subresultant_odd(Q: UniPoly, R: UniPoly, i: int) -> Fraction:
         raise ValueError("Q must be nonzero")
     if not 0 <= i <= a - 1:
         raise ValueError(f"odd sub-resultant index {i} out of range for a={a}")
-    s = sylvester_matrix(Q, R)
-    keep = list(range(i, 2 * a - 1 - i))
-    return det(s.submatrix(keep, keep))
+    return _sylvester_minor(Q, R, range(i, 2 * a - 1 - i), slice(i, 2 * a - 1 - i))
 
 
 def subresultant_even(Q: UniPoly, R: UniPoly, i: int) -> Fraction:
@@ -289,8 +306,6 @@ def subresultant_even(Q: UniPoly, R: UniPoly, i: int) -> Fraction:
         raise ValueError("Q must be nonzero")
     if not 0 <= i <= a - 2:
         raise ValueError(f"even sub-resultant index {i} out of range for a={a}")
-    s = sylvester_matrix(Q, R)
     middle = a - 1  # 0-based index of the first R-row
     rows = [r for r in range(i, 2 * a - 1 - i) if r != middle]
-    cols = list(range(i, 2 * a - 2 - i))
-    return det(s.submatrix(rows, cols))
+    return _sylvester_minor(Q, R, rows, slice(i, 2 * a - 2 - i))

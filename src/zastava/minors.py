@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .linalg import (
     ExactMatrix,
-    det,
+    _det_int,
     hankel_minor_C,
     hankel_minor_D,
     subresultant_even,
@@ -32,9 +33,23 @@ def wedge_entry(g: GMatrix, row: int, col: int) -> Fraction:
     A label j encodes (k, r) with j = 2k + r and r in {1, 2}; the entry is
     (A_{k - k'})_{r', r} for row label j' and column label j.
     """
-    kp, rp = _split(row)
-    k, r = _split(col)
-    return g.coeff_matrix(k - kp)[rp - 1][r - 1]
+    poly, t = _entry_source(g, _split(row), _split(col))
+    return poly.coeff(t)
+
+
+def _entry_source(
+    g: GMatrix, row: tuple[int, int], col: tuple[int, int]
+) -> tuple[UniPoly, int]:
+    """The polynomial of g and the index of its coefficient at the split
+    labels row = (k', r'), col = (k, r): the entry (A_{k-k'})_{r', r} is the
+    coefficient of z^(k - k' + a) in F, D, R or Q, where r' picks the pair
+    (F, D) or (R, Q) and r one of the pair."""
+    (kp, rp), (k, r) = row, col
+    return _row_pair(g, rp)[r - 1], k - kp + g.a
+
+
+def _row_pair(g: GMatrix, rp: int) -> tuple[UniPoly, UniPoly]:
+    return (g.F, g.D) if rp == 1 else (g.R, g.Q)
 
 
 def _split(j: int) -> tuple[int, int]:
@@ -49,14 +64,32 @@ class WedgeWindow:
     cols: tuple[int, ...]
 
     def matrix(self, g: GMatrix) -> ExactMatrix:
-        if len(self.rows) != len(self.cols):
-            raise ValueError("window is not square")
+        self._check_square()
         return ExactMatrix(
             [[wedge_entry(g, rj, cj) for cj in self.cols] for rj in self.rows]
         )
 
     def determinant(self, g: GMatrix) -> Fraction:
-        return det(self.matrix(g))
+        """det of the window on integer rows: each row is scaled by the lcm
+        of the denominators of its pair, (F, D) or (R, Q)."""
+        self._check_square()
+        cols = [_split(cj) for cj in self.cols]
+        rows = []
+        scales = []
+        for row in map(_split, self.rows):
+            pair = _row_pair(g, row[1])
+            s = lcm(pair[0].den, pair[1].den)
+            entries = []
+            for col in cols:
+                poly, t = _entry_source(g, row, col)
+                entries.append(poly.nums[t] * (s // poly.den) if 0 <= t < len(poly.nums) else 0)
+            rows.append(entries)
+            scales.append(s)
+        return Fraction(_det_int(rows), prod(scales))
+
+    def _check_square(self) -> None:
+        if len(self.rows) != len(self.cols):
+            raise ValueError("window is not square")
 
 
 # -- the two windows -------------------------------------------------------

@@ -20,7 +20,7 @@ from .multirat import Ring
 from .rational import format_scalar, parse_scalar
 from .rootdata import RootDatum, datum
 from .series import InfSeries, series_expand
-from .unipoly import UniPoly, lagrange_interpolate, poly_gcd, rational_roots
+from .unipoly import UniPoly, _horner, lagrange_interpolate, poly_gcd, rational_roots
 
 
 class Tier(Enum):
@@ -35,6 +35,16 @@ def _classify(Q: UniPoly, R: UniPoly) -> Tier:
     if Q.coeff(0) == 0:
         return Tier.MONOPOLE
     return Tier.TRIGONOMETRIC
+
+
+def _on_chart(Q: UniPoly, R: UniPoly, w: Fraction, y: Fraction) -> bool:
+    """Q(w) = 0 and R(w) = y, by integer Horner on w = p/q with the value
+    of R cross-multiplied against y."""
+    p, q = w.numerator, w.denominator
+    if _horner(Q.nums, p, q):
+        return False
+    scale = R.den * q ** max(len(R.nums) - 1, 0)
+    return _horner(R.nums, p, q) * y.denominator == y.numerator * scale
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,7 @@ class ZastavaPoint:
                 if len(set(ws)) != len(ws):
                     raise ValueError("repeated roots within a color")
                 for wv, yv in zip(ws, ys):
-                    if self.Q[i](wv) != 0 or self.R[i](wv) != yv:
+                    if not _on_chart(self.Q[i], self.R[i], wv, yv):
                         raise ValueError("coordinate form inconsistent with (Q, R)")
 
     @property

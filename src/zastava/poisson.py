@@ -173,7 +173,7 @@ def symplectic_form_trig(table: BracketTable, point: Optional[Mapping[str, Fract
         if (ka, kb) == ("y", "w") and (ia, ra) == (ib, rb):
             return Fraction(1, d[ia - 1]) / (x(a) * x(b))
         if (ka, kb) == ("w", "y") and (ia, ra) == (ib, rb):
-            return -entry(b, a)
+            return -(Fraction(1, d[ia - 1]) / (x(b) * x(a)))
         if ka == kb == "w" and ia != ib:
             w1, w2 = x(a), x(b)
             coef = Fraction(P[ia - 1][ib - 1], 2 * d[ia - 1] * d[ib - 1])
@@ -199,12 +199,18 @@ def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict)
     n = len(coords)
     B = [list(row) for row in bivector_matrix(table, point).entries]
     Om = [list(row) for row in symplectic_form_trig(table, point).entries]
+    # B * Omega over the nonzero entries only
+    om_rows = [[(j, v) for j, v in enumerate(row) if v] for row in Om]
     bad = []
     for i in range(n):
+        got = [0] * n
+        for k, b in enumerate(B[i]):
+            if b:
+                for j, v in om_rows[k]:
+                    got[j] += b * v
         for j in range(n):
-            got = sum(B[i][k] * Om[k][j] for k in range(n))
-            if got != (1 if i == j else 0):
-                bad.append((i, j, got))
+            if got[j] != (1 if i == j else 0):
+                bad.append((i, j, got[j]))
     return {"ok": not bad, "size": n, "bivector": B, "form": Om, "failures": bad}
 
 

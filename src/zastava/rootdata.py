@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 
@@ -24,7 +25,7 @@ class RootDatum:
     def rank(self) -> int:
         return len(self.cartan)
 
-    @property
+    @cached_property
     def pairing(self) -> tuple[tuple[Fraction, ...], ...]:
         """P_ij = d_i * C_ij; symmetric with diagonal 2*d_i."""
         return tuple(
@@ -142,7 +143,10 @@ def _highest_root(c: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def datum(type_tag: str) -> RootDatum:
-    """Construct a root datum from a tag like "A2", "B3", or "A1-affine"."""
+    """Construct a root datum from a tag like "A2", "B3", or "A1-affine".
+
+    Tags that name the same (family, rank, affine) share one instance.
+    """
     tag = type_tag.strip()
     affine = False
     if tag.endswith("-affine"):
@@ -150,8 +154,12 @@ def datum(type_tag: str) -> RootDatum:
         tag = tag[: -len("-affine")]
     if len(tag) < 2 or tag[0].upper() not in "ABCD" or not tag[1:].isdecimal():
         raise ValueError(f"unsupported type tag {type_tag!r}")
-    family = tag[0].upper()
-    n = int(tag[1:])
+    return _datum(tag[0].upper(), int(tag[1:]), affine)
+
+
+@cache
+def _datum(family: str, n: int, affine: bool) -> RootDatum:
+    # a key that raises is not stored, so at most 4 * MAX_RANK * 2 entries
     c = _cartan_finite(family, n)
     fin = RootDatum(label=f"{family}{n}", cartan=tuple(map(tuple, c)), d=tuple(_symmetrizer(c)))
     if not affine:

@@ -34,9 +34,11 @@ class InfSeries:
 def series_expand(R: UniPoly, Q: UniPoly, n: int) -> InfSeries:
     """First n coefficients of R/Q = c_0/z + c_1/z^2 + ...
 
-    Requires deg R < deg Q.  Computed by the exact recurrence
-    c_j = (r_{a-1-j} - sum_{k<j} q_{a+k-j} c_k) / q_a read off from
-    R = Q * (c_0/z + c_1/z^2 + ...).
+    Requires deg R < deg Q.  The recurrence
+    c_j = (r_{a-1-j} - sum_{k<j} q_{a+k-j} c_k) / q_a, read off from
+    R = Q * (c_0/z + c_1/z^2 + ...), runs on the numerators: with L the
+    leading numerator of Q, c_j = e_j / (R.den L^(j+1)) for the integers
+    e_j = r_{a-1-j} Q.den L^j - sum_{k<j} q_{a+k-j} e_k L^(j-k-1).
     """
     if Q.is_zero:
         raise ZeroDivisionError("expansion denominator is zero")
@@ -44,13 +46,18 @@ def series_expand(R: UniPoly, Q: UniPoly, n: int) -> InfSeries:
     assert a is not None
     if not R.is_zero and R.degree >= a:
         raise ValueError("numerator degree must be below denominator degree")
-    lead = Q.coeff(a)
+    q, r = Q.nums, R.nums
+    lead = q[a]
+    powers = [1]  # L^0 .. L^(j+1)
+    es: list[int] = []
     cs: list[Fraction] = []
     for j in range(n):
-        acc = R.coeff(a - 1 - j)
-        for k in range(j):
-            acc -= Q.coeff(a + k - j) * cs[k]
-        cs.append(acc / lead)
+        powers.append(powers[-1] * lead)
+        acc = r[a - 1 - j] * Q.den * powers[j] if 0 <= a - 1 - j < len(r) else 0
+        for k in range(max(0, j - a), j):
+            acc -= q[a + k - j] * es[k] * powers[j - k - 1]
+        es.append(acc)
+        cs.append(Fraction(acc, R.den * powers[j + 1]))
     return InfSeries(tuple(cs))
 
 

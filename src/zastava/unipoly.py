@@ -31,7 +31,7 @@ class UniPoly:
         for c in coeffs:
             if isinstance(c, float):
                 raise TypeError(f"float coefficient {c!r} is not exact")
-            cs.append(c if isinstance(c, int) else Fraction(c))
+            cs.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
         den = lcm(*(c.denominator for c in cs))
         _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
 

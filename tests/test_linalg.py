@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zastava.linalg import (
     ExactMatrix,
@@ -152,3 +153,50 @@ def test_symbolic_det_cap():
     big = ExactMatrix([[t] * 7 for _ in range(7)])
     with pytest.raises(ValueError):
         det(big, strategy="cofactor")
+
+
+def test_det_int_row_swap_and_singular():
+    from zastava.linalg import _det_int
+
+    # a zero pivot at (0,0), and one at (1,1) that appears after the first step
+    m = [[0, 2, 1, 5], [3, 1, 0, 2], [1, 0, 2, 1], [2, 4, 1, 0]]
+    assert _det_int([row[:] for row in m]) == det(ExactMatrix(m), strategy="cofactor") == 121
+    assert _det_int([[0, 1], [1, 0]]) == -1
+    assert _det_int([[1, 1, 1], [1, 1, 2], [0, 1, 1]]) == -1
+    # singular: a whole zero column below the pivot, and dependent rows
+    assert _det_int([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert _det_int([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 0
+    assert _det_int([]) == 1
+
+
+# rationals with small and very wide denominators (up to 2^70)
+_wide = st.builds(
+    F,
+    st.integers(-99, 99) | st.integers(-(2**70), 2**70),
+    st.integers(1, 9) | st.just(2**70) | st.integers(1, 2**70),
+)
+
+
+@st.composite
+def _monic_and_lower(draw):
+    a = draw(st.integers(1, 5))
+    Q = UniPoly(draw(st.lists(_wide, min_size=a, max_size=a)) + [1])
+    R = UniPoly(draw(st.lists(_wide, max_size=a)))  # may be zero or of low degree
+    return Q, R
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monic_and_lower())
+@example((UniPoly([F(3, 2**70), -1, 1]), UniPoly.zero()))
+@example((UniPoly([2, F(-1, 2**70), 0, 1]), UniPoly([F(5, 2**70)])))
+def test_subresultants_match_cofactor_minor(qr):
+    Q, R = qr
+    a = Q.degree
+    s = sylvester_matrix(Q, R)
+    for i in range(a):
+        keep = list(range(i, 2 * a - 1 - i))
+        assert subresultant_odd(Q, R, i) == det(s.submatrix(keep, keep), strategy="cofactor")
+    for i in range(a - 1):
+        rows = [r for r in range(i, 2 * a - 1 - i) if r != a - 1]
+        cols = list(range(i, 2 * a - 2 - i))
+        assert subresultant_even(Q, R, i) == det(s.submatrix(rows, cols), strategy="cofactor")

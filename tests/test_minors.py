@@ -2,15 +2,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zastava.linalg import hankel_minor_C, hankel_minor_D
+from zastava.linalg import det, hankel_minor_C, hankel_minor_D
 from zastava.minors import (
+    WedgeWindow,
+    _window_C,
+    _window_D,
     crosscheck_three_routes,
     generalized_minor_v0,
     generalized_minor_v1,
     wedge_entry,
 )
-from zastava.points import ZastavaPoint, from_coords, g_matrix
+from zastava.points import GMatrix, ZastavaPoint, from_coords, g_matrix
 from zastava.rootdata import datum
 from zastava.series import series_expand
 from zastava.unipoly import UniPoly
@@ -132,3 +136,47 @@ def test_rank_one_only():
     pt = from_coords(datum("A2"), [[F(2)], [F(5)]], [[F(1)], [F(1)]])
     with pytest.raises(ValueError):
         generalized_minor_v1(pt, 1)
+
+
+# rationals with small and very wide denominators (up to 2^70)
+_wide = st.builds(
+    F,
+    st.integers(-99, 99) | st.integers(-(2**70), 2**70),
+    st.integers(1, 9) | st.just(2**70) | st.integers(1, 2**70),
+)
+
+
+@st.composite
+def _g_and_window(draw):
+    """A GMatrix of four arbitrary polynomials of degree <= a, and a square
+    window: one of the two closed-form windows, or random labels of both
+    parities so that (F, D) rows are read too."""
+    a = draw(st.integers(1, 4))
+    F_, D_, R_, Q_ = (UniPoly(draw(st.lists(_wide, max_size=a + 1))) for _ in range(4))
+    g = GMatrix(a=a, F=F_, D=D_, R=R_, Q=Q_)
+    choice = draw(st.integers(0, 2))
+    if choice < 2:
+        r = draw(st.integers(1, 3))
+        return g, (_window_C, _window_D)[choice](r)
+    size = draw(st.integers(1, 5))
+    labels = st.lists(st.integers(-2 * a - 3, 4), min_size=size, max_size=size, unique=True)
+    return g, WedgeWindow(tuple(draw(labels)), tuple(draw(labels)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_g_and_window())
+def test_window_determinant_matches_cofactor(gw):
+    g, window = gw
+    assert window.determinant(g) == det(window.matrix(g), strategy="cofactor")
+
+
+def test_window_determinant_at_points():
+    rng = random.Random(3)
+    for a in range(1, 5):
+        Q, R = _random_qr(rng, a)
+        g = g_matrix(Q, R * F(1, 7))
+        for r in range(1, a + 1):
+            for window in (_window_C(r), _window_D(r), WedgeWindow((1, 2), (-1, 0))):
+                assert window.determinant(g) == det(window.matrix(g), strategy="cofactor")
+    with pytest.raises(ValueError, match="not square"):
+        WedgeWindow((0, 2), (0,)).determinant(g)

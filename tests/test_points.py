@@ -228,3 +228,26 @@ def test_inconsistent_coords_rejected():
             ((F(1), F(3)),),
             ((F(2), F(5)),),
         )
+
+
+def test_point_document_rejects_off_chart_coordinates():
+    pt = from_coords(A1, [[F(1, 3), F(-5, 7), F(2)]], [[F(4), F(-1, 9), F(6, 5)]])
+    doc = pt.to_json()
+    assert ZastavaPoint.from_json(doc) == pt
+    # y off by 1/2^70: R(w) != y
+    off = json.loads(json.dumps(doc))
+    off["y"][0][1] = str(pt.y[0][1] + F(1, 2**70))
+    with pytest.raises(ValueError, match="inconsistent"):
+        ZastavaPoint.from_json(off)
+    # w not a root of Q (its y is R(w), so only the root test can reject it)
+    w = F(1, 3) + F(1, 2**70)
+    moved = json.loads(json.dumps(doc))
+    moved["w"][0][0] = str(w)
+    moved["y"][0][0] = str(pt.R[0](w))
+    with pytest.raises(ValueError, match="inconsistent"):
+        ZastavaPoint.from_json(moved)
+    # a zero R with zero values is on the chart; a nonzero value is not
+    zero = ZastavaPoint(A1, pt.Q, (UniPoly.zero(),), pt.w, ((F(0),) * 3,))
+    assert zero.R[0].is_zero
+    with pytest.raises(ValueError, match="inconsistent"):
+        ZastavaPoint(A1, pt.Q, (UniPoly.zero(),), pt.w, ((F(0), F(0), F(1, 2**70)),))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from zastava.linalg import ExactMatrix
 from zastava.poisson import (
     BracketTable,
     bivector_matrix,
@@ -230,3 +231,36 @@ def test_descent_negative_control_rrx(monkeypatch, dat, degrees, kind):
     _scaled_bracket(monkeypatch, ("y1_1", "y2_1"), F(3, 2))
     rep = verify_descent(dat, degrees, kind)
     assert not rep["ok"] and not rep["checks"]["RRx"]
+
+
+def test_symplectic_check_reports_a_wrong_form(monkeypatch):
+    import zastava.poisson as poisson
+
+    right = poisson.symplectic_form_trig
+    pt = {"w1_1": F(1), "y1_1": F(3)}  # B = (0, 3; -3, 0)
+
+    def bent(scale, corner):
+        def form(table, point=None):
+            rows = [[scale * x for x in row] for row in right(table, point).entries]
+            rows[0][0] += corner
+            return ExactMatrix(rows)
+        return form
+
+    monkeypatch.setattr(poisson, "symplectic_form_trig", bent(2, 0))
+    rep = symplectic_check_trig(A1, (1,), pt)
+    assert not rep["ok"] and rep["failures"] == [(0, 0, 2), (1, 1, 2)]
+    monkeypatch.setattr(poisson, "symplectic_form_trig", bent(1, 1))
+    rep = symplectic_check_trig(A1, (1,), pt)
+    assert not rep["ok"] and rep["failures"] == [(1, 0, -3)]
+
+
+def test_symplectic_form_leaves_no_reference_cycle():
+    import gc
+
+    table = BracketTable(A2, (2, 1), "trigonometric")
+    pt = _chart_point(table, random.Random(2))
+    gc.collect()
+    for _ in range(3):
+        symplectic_form_trig(table, pt)
+        symplectic_form_trig(table)
+    assert gc.collect() == 0

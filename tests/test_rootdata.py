@@ -56,3 +56,21 @@ def test_unsupported_tag():
     with pytest.raises(ValueError):
         datum("E8")
 
+
+def test_datum_built_once_per_normalised_tag():
+    from zastava.rootdata import MAX_RANK, _datum
+
+    assert datum("A2") is datum(" A2 ") is datum("a2\n")
+    assert datum("A1-affine") is datum(" a1-affine")
+    assert datum("A1") is not datum("A1-affine")
+    d = datum("C3")
+    assert d.pairing is d.pairing
+    before = _datum.cache_info().currsize
+    datum("\tB3 "), datum("b3"), datum("B3")
+    assert _datum.cache_info().currsize <= before + 1
+    # a bad tag raises on every call, and a refused one is not stored
+    for tag in ("E8", "A0", f"A{MAX_RANK + 1}", "B1", "D2-affine"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                datum(tag)
+    assert _datum.cache_info().currsize <= before + 1
