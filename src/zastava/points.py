@@ -47,6 +47,12 @@ def _on_chart(Q: UniPoly, R: UniPoly, w: Fraction, y: Fraction) -> bool:
     return _horner(R.nums, p, q) * y.denominator == y.numerator * scale
 
 
+def _distinct(ws: Sequence[Fraction]) -> bool:
+    """Whether the values are pairwise distinct, compared as (numerator,
+    denominator) pairs rather than through Fraction hashes."""
+    return len({(v.numerator, v.denominator) for v in ws}) == len(ws)
+
+
 @dataclass(frozen=True)
 class ZastavaPoint:
     datum: RootDatum
@@ -68,13 +74,14 @@ class ZastavaPoint:
         if self.w is not None:
             if len(self.w) != self.datum.rank or len(self.y) != self.datum.rank:
                 raise ValueError("coordinate lists must match the degrees")
-            for i, (ws, ys) in enumerate(zip(self.w, self.y)):
-                if len(ws) != self.degrees[i] or len(ys) != self.degrees[i]:
+            for q, r, ws, ys in zip(self.Q, self.R, self.w, self.y):
+                a = q.degree
+                if len(ws) != a or len(ys) != a:
                     raise ValueError("coordinate lists must match the degrees")
-                if len(set(ws)) != len(ws):
+                if not _distinct(ws):
                     raise ValueError("repeated roots within a color")
                 for wv, yv in zip(ws, ys):
-                    if not _on_chart(self.Q[i], self.R[i], wv, yv):
+                    if not _on_chart(q, r, wv, yv):
                         raise ValueError("coordinate form inconsistent with (Q, R)")
 
     @property
@@ -83,9 +90,18 @@ class ZastavaPoint:
 
     @property
     def tier(self) -> Tier:
-        tiers = [_classify(q, r) for q, r in zip(self.Q, self.R)]
-        order = [Tier.ZASTAVA, Tier.MONOPOLE, Tier.TRIGONOMETRIC]
-        return order[min(order.index(t) for t in tiers)]
+        """The lowest tier over the colors.  With a chart it is read off
+        (w, y): the w are the distinct roots of Q and y = R(w), so a common
+        factor of Q_i and R_i shows as some y = 0 and Q_i(0) = 0 as some w = 0."""
+        if self.w is None:
+            tiers = [_classify(q, r) for q, r in zip(self.Q, self.R)]
+            order = [Tier.ZASTAVA, Tier.MONOPOLE, Tier.TRIGONOMETRIC]
+            return order[min(order.index(t) for t in tiers)]
+        if any(not v for ys in self.y for v in ys):
+            return Tier.ZASTAVA
+        if any(not v for ws in self.w for v in ws):
+            return Tier.MONOPOLE
+        return Tier.TRIGONOMETRIC
 
     @property
     def has_coords(self) -> bool:
@@ -121,6 +137,11 @@ class ZastavaPoint:
             dat = datum(data["type"])
             Q = tuple(UniPoly.from_json(c) for c in data["Q"])
             R = tuple(UniPoly.from_json(c) for c in data["R"])
+            degrees = [q.degree for q in Q]
+            if "degrees" in data and data["degrees"] != degrees:
+                raise ValueError(
+                    f"degrees field {data['degrees']!r} differs from the degrees of Q {degrees}"
+                )
             w = y = None
             if "w" in data:
                 w = tuple(tuple(parse_scalar(v) for v in ws) for ws in data["w"])
@@ -152,24 +173,25 @@ def from_coords(
     (w_{i,r}, y_{i,r}).  Roots must be distinct per color, and nonzero when
     the trigonometric tier is required.
     """
+    w = tuple(map(_fractions, w))
+    y = tuple(map(_fractions, y))
     Qs, Rs = [], []
     for ws, ys in zip(w, y):
-        if len(set(ws)) != len(ws):
+        if not _distinct(ws):
             raise ValueError("repeated roots within a color")
-        if require_trigonometric and any(wv == 0 for wv in ws):
+        if require_trigonometric and not all(ws):
             raise ValueError("zero root not allowed on the trigonometric tier")
-        Qs.append(UniPoly.from_roots(list(ws)))
+        Qs.append(UniPoly.from_roots(ws))
         Rs.append(lagrange_interpolate(list(zip(ws, ys))))
-    pt = ZastavaPoint(
-        dat,
-        tuple(Qs),
-        tuple(Rs),
-        tuple(tuple(Fraction(v) for v in ws) for ws in w),
-        tuple(tuple(Fraction(v) for v in ys) for ys in y),
-    )
+    pt = ZastavaPoint(dat, tuple(Qs), tuple(Rs), w, y)
     if require_trigonometric and pt.tier is not Tier.TRIGONOMETRIC:
         raise ValueError("point is not on the trigonometric tier (gcd or zero root)")
     return pt
+
+
+def _fractions(vs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """The values as Fractions, keeping each Fraction as it is."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vs)
 
 
 def recover_coords(pt: ZastavaPoint) -> ZastavaPoint:
@@ -181,7 +203,7 @@ def recover_coords(pt: ZastavaPoint) -> ZastavaPoint:
         roots = rational_roots(q)
         if len(roots) != q.degree:
             raise ValueError("Q does not split over the rationals")
-        if len(set(roots)) != len(roots):
+        if not _distinct(roots):
             raise ValueError("repeated roots; coordinate chart undefined")
         ws.append(tuple(roots))
         ys.append(tuple(r(x) for x in roots))

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rational import format_scalar, parse_scalar
+from .rational import format_ratio, format_scalar, parse_ratio, parse_scalar
 
 _ZERO = Fraction(0)
 
@@ -31,7 +31,9 @@ class UniPoly:
         for c in coeffs:
             if isinstance(c, float):
                 raise TypeError(f"float coefficient {c!r} is not exact")
-            cs.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
+            if not isinstance(c, (int, Fraction)):
+                c = parse_scalar(c) if isinstance(c, str) else Fraction(c)
+            cs.append(c)
         den = lcm(*(c.denominator for c in cs))
         _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -58,8 +60,8 @@ class UniPoly:
         """prod (z - w), as the primitive integer product of the (q z - p) for
         w = p/q, over the product of the q."""
         nums, den = [1], 1
-        for w in map(Fraction, roots):
-            p, q = w.numerator, w.denominator
+        for w in roots:
+            p, q = _ratio(w)
             nums = [q * b - p * a for a, b in zip(nums + [0], [0] + nums)]
             den *= q
         return _of(nums, den)
@@ -147,11 +149,15 @@ class UniPoly:
 
     def to_json(self) -> list[str]:
         """Coefficient strings "p/q", lowest degree first."""
-        return [format_scalar(c) for c in self.coeffs]
+        return [format_ratio(c, self.den) for c in self.nums]
 
     @staticmethod
     def from_json(data: Sequence[str | int]) -> "UniPoly":
-        return UniPoly(parse_scalar(c) for c in data)
+        """Read coefficient strings (or ints) over the lcm of their
+        denominators; raises TypeError or ValueError as parse_ratio does."""
+        pairs = [parse_ratio(c) for c in data]
+        den = lcm(*(q for _, q in pairs))
+        return _of([p * (den // q) for p, q in pairs], den)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -190,6 +196,14 @@ def _init(p: UniPoly, nums: list[int], den: int) -> None:
         den //= g
     object.__setattr__(p, "nums", tuple(nums))
     object.__setattr__(p, "den", den)
+
+
+def _ratio(x: Fraction | int) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar, read off an int or a
+    Fraction as it is and through Fraction() for anything else."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _horner(nums: Sequence[int], p: int, q: int) -> int:
@@ -260,21 +274,20 @@ def lagrange_interpolate(nodes: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
     Node abscissae must be pairwise distinct.  With B_r the integer product
     of (q_s z - p_s) over s != r, the interpolant is sum_r v_r B_r / B_r(w_r).
     """
-    ws = [Fraction(w) for w, _ in nodes]
+    ws = [_ratio(w) for w, _ in nodes]
     if len(set(ws)) != len(ws):
         raise ValueError("repeated abscissa in interpolation nodes")
     # the product of all the (q_s z - p_s): primitive, so normalising keeps it whole
-    full = UniPoly.from_roots(ws).nums
+    full = UniPoly.from_roots(w for w, _ in nodes).nums
     result = UniPoly.zero()
-    for w, (_, v) in zip(ws, nodes):
-        v = Fraction(v)
-        if v == 0:
+    for (p, q), (_, v) in zip(ws, nodes):
+        vp, vq = _ratio(v)
+        if not vp:
             continue
-        p, q = w.numerator, w.denominator
         basis = _div_linear(full, p, q)
         at_w = _horner(basis, p, q)  # q^(n-1) B_r(w_r)
-        scale = v.numerator * q ** (len(basis) - 1)
-        result = result + _of([c * scale for c in basis], at_w * v.denominator)
+        scale = vp * q ** (len(basis) - 1)
+        result = result + _of([c * scale for c in basis], at_w * vq)
     return result
 
 

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zastava.points import (
     Tier,
+    _classify,
     ZastavaPoint,
     bezout_complete,
     boundary_equation_sl2,
@@ -228,6 +229,11 @@ def test_inconsistent_coords_rejected():
             ((F(1), F(3)),),
             ((F(2), F(5)),),
         )
+    # a double root listed twice is on the chart, but not a chart
+    with pytest.raises(ValueError, match="repeated roots"):
+        ZastavaPoint(
+            A1, (UniPoly.from_roots([F(1), F(1)]),), (UniPoly([2]),), ((F(1), F(1)),), ((F(2), F(2)),)
+        )
 
 
 def test_point_document_rejects_off_chart_coordinates():
@@ -251,3 +257,52 @@ def test_point_document_rejects_off_chart_coordinates():
     assert zero.R[0].is_zero
     with pytest.raises(ValueError, match="inconsistent"):
         ZastavaPoint(A1, pt.Q, (UniPoly.zero(),), pt.w, ((F(0), F(0), F(1, 2**70)),))
+
+
+@pytest.mark.parametrize("scalar", [0.1, True])
+def test_point_document_rejects_non_string_scalars(scalar):
+    doc = _pt2().to_json()
+    doc["R"] = [[scalar, "1"]]
+    with pytest.raises(ValueError, match="malformed point document"):
+        ZastavaPoint.from_json(doc)
+    with pytest.raises(TypeError):
+        UniPoly.from_json([scalar, 1])
+
+
+def test_point_document_degrees_must_match_Q():
+    doc = {"type": "A1", "degrees": [5], "Q": [["3", "-4", "1"]], "R": [["1", "1"]]}
+    with pytest.raises(ValueError, match=r"\[5\].*\[2\]"):
+        ZastavaPoint.from_json(doc)
+    doc["degrees"] = [2]
+    assert ZastavaPoint.from_json(doc) == ZastavaPoint(A1, (UniPoly([3, -4, 1]),), (UniPoly([1, 1]),))
+    del doc["degrees"]
+    assert ZastavaPoint.from_json(doc).to_json()["degrees"] == [2]
+
+
+def _tier_by_gcd(pt):
+    order = [Tier.ZASTAVA, Tier.MONOPOLE, Tier.TRIGONOMETRIC]
+    return order[min(order.index(_classify(q, r)) for q, r in zip(pt.Q, pt.R))]
+
+
+@st.composite
+def _charted_points(draw):
+    """A1 or A2 points with small roots and values, so that a zero w, a zero
+    y, both, and an all-zero y (R = 0) are all common."""
+    label = draw(st.sampled_from(["A1", "A2"]))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    ws, ys = [], []
+    for _ in range(datum(label).rank):
+        a = draw(st.integers(0, 3))
+        ws.append(draw(st.lists(small, min_size=a, max_size=a, unique=True)))
+        ys.append(draw(st.lists(small, min_size=a, max_size=a)))
+    return from_coords(datum(label), ws, ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_charted_points())
+@example(from_coords(A1, [[F(0), F(2)]], [[F(1), F(0)]]))
+@example(from_coords(A2, [[F(1)], [F(0)]], [[F(1)], [F(3)]]))
+@example(from_coords(A1, [[F(1), F(3)]], [[F(0), F(0)]]))
+def test_tier_from_chart_matches_gcd(pt):
+    assert pt.has_coords
+    assert pt.tier is _tier_by_gcd(pt)
