@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import bench as bench_mod
-from .cluster import initial_seed_sl2, log_canonicity_check, mutate
+from .cluster import initial_seed_sl2, log_canonicity_check, mutate, sample_chart_point
 from .minors import crosscheck_three_routes
 from .points import ZastavaPoint, coordinate_assignment, from_coords, recover_coords
 from .poisson import BracketTable, jacobi_report, symplectic_check_trig, verify_descent
@@ -27,7 +27,7 @@ from .rational import parse_scalar
 from .rootdata import datum
 from .superpotential import SuperData, eval_gw, verify_gw_w
 from .unipoly import UniPoly
-from .verify import random_point_assignment, run_profile
+from .verify import run_profile
 
 
 @contextmanager
@@ -168,9 +168,10 @@ def cmd_poisson(args) -> int:
         res = verify_descent(dat, degrees, kind)
     else:  # symplectic
         rng = random.Random(_seed_from(args))
+        with _reading():
+            pts = [sample_chart_point(degrees, rng) for _ in range(args.trials or 5)]
         res = {"ok": True, "points": []}
-        for _ in range(args.trials or 5):
-            pt = random_point_assignment(degrees, rng)
+        for pt in pts:
             one = symplectic_check_trig(dat, degrees, pt)
             res["points"].append({"point": pt, "ok": one["ok"]})
             res["ok"] &= one["ok"]

@@ -24,6 +24,7 @@ from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
 from .multirat import MultiRat
 from .points import Tier, ZastavaPoint, coordinate_ring
 from .poisson import BracketTable
+from .rootdata import datum
 from .series import series_coefficients
 
 JetEvaluator = Callable[[Mapping[str, Fraction], Sequence[str]], tuple[Jet, ...]]
@@ -238,7 +239,8 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     """Seed for a rank-one point of degree a: variables
     [D_1, C_1, D_2, C_2, ..., D_a, C_a] along the word (0,1)^a, with the
     last two positions frozen.  (0,1)^a is the reduced word of the
-    translation t_a in the affine Weyl group of type A1 (length 2a).  Jets
+    translation t_a in the affine Weyl group of type A1 (length 2a), read
+    with the Cartan matrix of ``datum("A1-affine")``.  Jets
     and the symbolic variables both come from ``hankel_minors``; the
     symbolic ones are built only when read, and reading them raises
     ValueError when a exceeds SYMBOLIC_COFACTOR_CAP, before any minor is
@@ -252,8 +254,7 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
         if point.tier is not Tier.TRIGONOMETRIC:
             raise ValueError("point must lie on the trigonometric tier")
     word = (0, 1) * a
-    cartan = [[2, -2], [-2, 2]]
-    matrix = exchange_matrix(word, cartan)
+    matrix = exchange_matrix(word, datum("A1-affine").cartan)
     labels = []
     for m in range(1, a + 1):
         labels += [f"D_{m}", f"C_{m}"]
@@ -282,19 +283,36 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
 # -- log-canonicity ----------------------------------------------------------
 
 
-def sample_chart_point(a: int, rng: random.Random) -> dict[str, Fraction]:
-    """Random admissible rank-one assignment: distinct nonzero w, nonzero y."""
+# p/q with p in [-9, 9] and q in [1, 4] takes this many distinct nonzero values
+_CHART_VALUES = 50
+
+
+def sample_chart_point(degrees: Sequence[int], rng: random.Random) -> dict[str, Fraction]:
+    """Random admissible chart assignment over a degree vector.
+
+    Color by color, all w_{i,r} and then all y_{i,r} are drawn as p/q with
+    p in [-9, 9] and q in [1, 4]; a draw with a zero value or a w repeated
+    across any colors is rejected.  The keys come in the order of
+    ``BracketTable.coordinates``.  Raises ValueError when the degrees sum
+    to more than the distinct nonzero w values, before anything is drawn,
+    or after 1000 rejected draws.
+    """
+    total = sum(degrees)
+    if total > _CHART_VALUES:
+        raise ValueError(
+            f"degrees {tuple(degrees)} need {total} distinct w, above the "
+            f"{_CHART_VALUES} nonzero values the sampler draws"
+        )
     for _ in range(1000):
-        ws = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(a)]
-        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(a)]
-        if 0 in ws or 0 in ys or len(set(ws)) != a:
-            continue
         out = {}
-        for r in range(1, a + 1):
-            out[f"w1_{r}"] = ws[r - 1]
-            out[f"y1_{r}"] = ys[r - 1]
-        return out
-    raise RuntimeError("sampling exhaustion")
+        for i, a in enumerate(degrees, start=1):
+            for name in ("w", "y"):
+                for r in range(1, a + 1):
+                    out[f"{name}{i}_{r}"] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        ws = {v for k, v in out.items() if k[0] == "w"}
+        if 0 not in out.values() and len(ws) == total:
+            return out
+    raise ValueError(f"no admissible chart point for degrees {tuple(degrees)} in 1000 draws")
 
 
 def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: Optional[random.Random] = None) -> dict:
@@ -309,14 +327,13 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     """
     if rng is None:
         rng = random.Random(0)
-    a = sum(table.degrees)
     coords = table.coordinates
     coord_pairs = list(itertools.combinations(enumerate(coords), 2))
     index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
     values: list[list[Fraction]] = [[] for _ in index_pairs]
     accepted = 0
     while accepted < trials:
-        pt = sample_chart_point(a, rng)
+        pt = sample_chart_point(table.degrees, rng)
         try:
             jets = seed.jets(pt, coords)
         except ZeroDivisionError:

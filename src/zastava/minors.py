@@ -22,7 +22,7 @@ from .linalg import (
     subresultant_even,
     subresultant_odd,
 )
-from .points import GMatrix, g_matrix
+from .points import GMatrix
 from .series import series_expand
 from .unipoly import UniPoly
 
@@ -115,14 +115,10 @@ def _window_D(r: int) -> WedgeWindow:
 
 
 def _g_for_minors(Q: UniPoly, R: UniPoly) -> GMatrix:
-    """g(Q, R) when the completion exists; otherwise a stand-in with zero
-    F, D rows.  The two windows only read rows with even labels,
-    which carry R/Q coefficients, so boundary points (gcd != 1 or
-    Q(0) = 0) still have well-defined minors."""
-    try:
-        return g_matrix(Q, R)
-    except ValueError:
-        return GMatrix(a=Q.degree, F=UniPoly.zero(), D=UniPoly.zero(), R=R, Q=Q)
+    """g(Q, R) with zero F, D rows.  The two windows only read rows with
+    even labels, which carry R/Q coefficients, so the minors need no Bezout
+    completion and boundary points (gcd != 1 or Q(0) = 0) have them too."""
+    return GMatrix(a=Q.degree, F=UniPoly.zero(), D=UniPoly.zero(), R=R, Q=Q)
 
 
 def _point_qr(point) -> tuple[UniPoly, UniPoly]:

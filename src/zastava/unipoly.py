@@ -154,7 +154,10 @@ class UniPoly:
     @staticmethod
     def from_json(data: Sequence[str | int]) -> "UniPoly":
         """Read coefficient strings (or ints) over the lcm of their
-        denominators; raises TypeError or ValueError as parse_ratio does."""
+        denominators; raises TypeError unless ``data`` is a list or tuple,
+        and TypeError or ValueError as parse_ratio does."""
+        if not isinstance(data, (list, tuple)):
+            raise TypeError(f"coefficient list expected, not {type(data).__name__}")
         pairs = [parse_ratio(c) for c in data]
         den = lcm(*(q for _, q in pairs))
         return _of([p * (den // q) for p, q in pairs], den)

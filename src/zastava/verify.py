@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cluster import initial_seed_sl2, log_canonicity_check
+from .cluster import initial_seed_sl2, log_canonicity_check, sample_chart_point
 from .linalg import hankel_minor_C, hankel_minor_D, subresultant_even, subresultant_odd
 from .minors import crosscheck_three_routes
 from .points import ZastavaPoint, from_coords
@@ -74,61 +74,29 @@ def _timed(report: VerificationReport, identifier: str, fn: Callable[[], tuple[b
 # -- random instance generators ---------------------------------------------
 
 
-def random_rooted_pair(a: int, rng: random.Random, nonzero_roots: bool = True,
-                       coprime: bool = True) -> tuple[UniPoly, UniPoly]:
-    """Random monic Q with distinct rational roots and random R, deg R < a."""
+def random_rooted_pair(a: int, rng: random.Random) -> tuple[UniPoly, UniPoly]:
+    """Random monic Q with distinct nonzero rational roots and random
+    integer R, deg R < a, vanishing at no root of Q."""
     for _ in range(1000):
         roots = set()
         while len(roots) < a:
             v = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            if not (nonzero_roots and v == 0):
+            if v != 0:
                 roots.add(v)
         Q = UniPoly.from_roots(sorted(roots))
         R = UniPoly([Fraction(rng.randint(-9, 9)) for _ in range(a)])
-        if coprime and any(R(x) == 0 for x in roots):
+        if any(R(x) == 0 for x in roots):
             continue
         return Q, R
     raise RuntimeError("sampling exhaustion")
 
 
 def random_sl2_point(a: int, rng: random.Random) -> ZastavaPoint:
-    """Random rank-one trigonometric point with rational coordinates."""
-    dat = datum("A1")
-    for _ in range(1000):
-        ws = set()
-        while len(ws) < a:
-            v = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            if v != 0:
-                ws.add(v)
-        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(a)]
-        if any(v == 0 for v in ys):
-            continue
-        return from_coords(dat, [sorted(ws)], [ys], require_trigonometric=True)
-    raise RuntimeError("sampling exhaustion")
-
-
-def random_point_assignment(degrees: Sequence[int], rng: random.Random) -> dict[str, Fraction]:
-    """Admissible chart assignment: globally distinct nonzero w, nonzero y.
-
-    Raises RuntimeError after 1000 rejected draws, e.g. when the degrees
-    sum to more than the 40 distinct w values the sampler can produce.
-    """
-    for _ in range(1000):
-        out: dict[str, Fraction] = {}
-        allw = []
-        ok = True
-        for i, a in enumerate(degrees, start=1):
-            for r in range(1, a + 1):
-                wv = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                yv = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                if wv == 0 or yv == 0:
-                    ok = False
-                out[f"w{i}_{r}"] = wv
-                out[f"y{i}_{r}"] = yv
-                allw.append(wv)
-        if ok and len(set(allw)) == len(allw):
-            return out
-    raise RuntimeError("sampling exhaustion")
+    """Rank-one trigonometric point on one chart from ``sample_chart_point``."""
+    chart = sample_chart_point((a,), rng)
+    ws = [chart[f"w1_{r}"] for r in range(1, a + 1)]
+    ys = [chart[f"y1_{r}"] for r in range(1, a + 1)]
+    return from_coords(datum("A1"), [ws], [ys], require_trigonometric=True)
 
 
 # -- profiles -----------------------------------------------------------------
@@ -221,7 +189,7 @@ def run_symplectic(rng: random.Random, trials: int = 20) -> VerificationReport:
         dat = datum(label)
         def check(dat=dat, degs=degs):
             for _ in range(trials):
-                pt = random_point_assignment(degs, rng)
+                pt = sample_chart_point(degs, rng)
                 res = symplectic_check_trig(dat, degs, pt)
                 if not res["ok"]:
                     return False, {"point": {k: str(v) for k, v in pt.items()}}

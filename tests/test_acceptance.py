@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as F
 
 from zastava.bench import bench, format_csv, preflight
-from zastava.cluster import Seed, initial_seed_sl2, log_canonicity_check, mutate
+from zastava.cluster import Seed, initial_seed_sl2, log_canonicity_check, mutate, sample_chart_point
 from zastava.linalg import hankel_minor_C, hankel_minor_D, subresultant_even, subresultant_odd
 from zastava.minors import crosscheck_three_routes
 from zastava.points import (
@@ -24,11 +24,7 @@ from zastava.rootdata import datum
 from zastava.series import series_coefficients, series_expand
 from zastava.superpotential import SuperData, verify_gw_w
 from zastava.unipoly import UniPoly
-from zastava.verify import (
-    random_point_assignment,
-    random_rooted_pair,
-    random_sl2_point,
-)
+from zastava.verify import random_rooted_pair, random_sl2_point
 
 A1 = datum("A1")
 A2 = datum("A2")
@@ -104,7 +100,7 @@ def test_criterion_05_symplectic_inverse():
     ok = True
     for dat, degs in ((A1, (1,)), (A1, (2,)), (A2, (1, 1)), (A2, (2, 1))):
         for _ in range(20):
-            pt = random_point_assignment(degs, rng)
+            pt = sample_chart_point(degs, rng)
             ok &= symplectic_check_trig(dat, degs, pt)["ok"]
     _report(5, "bivector times closed-form inverse is identity", ok)
 

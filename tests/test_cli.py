@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from zastava.cli import main, parse_poly
 from zastava.unipoly import UniPoly
-from zastava.verify import random_point_assignment, run_profile
+from zastava.cluster import sample_chart_point
+from zastava.verify import run_profile
 
 
 def _run(argv, capsys):
@@ -124,6 +125,9 @@ _POINT_DOCS = {
     "bad-scalar": {"type": "A1", "Q": [["3", "-4", "1"]], "R": ["x"]},
     "no-type": {"Q": [["3", "-4", "1"]], "R": [["1", "1"]]},
     "wide": {"type": "A1", "Q": [[str(2**60 + 3), "0", "1"]], "R": [["1"]]},
+    # a coefficient list given as a string or an object
+    "string-coeffs": {"type": "A1", "Q": ["31"], "R": [["2"]]},
+    "object-coeffs": {"type": "A1", "Q": [{"-1": 0, "1": 0}], "R": [[]]},
 }
 
 
@@ -136,8 +140,12 @@ _POINT_DOCS = {
     ["cluster", "--a", "0"],
     ["cluster", "--a", "2", "--point", "wide.json"],
     ["bench", "--family", "hankel", "--sizes", "2", "--strategies", "bareiss,foo"],
+    ["point", "--validate", "string-coeffs.json"],
+    ["point", "--validate", "object-coeffs.json"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "51", "--check", "symplectic"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
-        "root-search-bound", "bench-strategy"])
+        "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
+        "sampler-bound"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
@@ -225,9 +233,13 @@ def test_poisson_rejects_bad_flags(argv, flag, capsys):
 
 
 def test_point_assignment_sampler_exhaustion():
-    # 41 roots cannot be distinct: the sampler draws from 40 nonzero w values
-    with pytest.raises(RuntimeError, match="sampling exhaustion"):
-        random_point_assignment((41,), random.Random(0))
+    # 51 roots cannot be distinct: the sampler draws from 50 nonzero w values,
+    # and says so before it draws anything
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="above the 50 nonzero values"):
+        sample_chart_point((51,), rng)
+    assert rng.getstate() == state
 
 
 def test_super_command(tmp_path, capsys):

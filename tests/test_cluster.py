@@ -130,7 +130,7 @@ def test_seed_mutation_involution():
     assert back.matrix == seed.matrix
     rng = random.Random(4)
     for _ in range(3):
-        assign = sample_chart_point(2, rng)
+        assign = sample_chart_point((2,), rng)
         for orig, twice in zip(seed.variables, back.variables):
             assert orig.evaluate(assign) == twice.evaluate(assign)
 
@@ -143,7 +143,7 @@ def test_mutation_laurent_denominator():
     # C_1 * mu(C_1) equals a polynomial in the other seed variables
     done = 0
     while done < 3:
-        assign = sample_chart_point(2, rng)
+        assign = sample_chart_point((2,), rng)
         if seed.variable(2).evaluate(assign) == 0:
             continue
         done += 1
@@ -199,7 +199,7 @@ def test_jets_match_symbolic_oracle():
         partials = [[v.diff(c) for c in coords] for v in seed.variables]
         rng = random.Random(30 + a)
         for _ in range(3):
-            pt = sample_chart_point(a, rng)
+            pt = sample_chart_point((a,), rng)
             for v, dv, x in zip(seed.variables, partials, seed.jets(pt, coords)):
                 assert x.value == v.evaluate(pt)
                 assert list(x.grad) == [d.evaluate(pt) for d in dv]
@@ -263,3 +263,55 @@ def test_log_canonicity_negative_control_closed_form(a):
     broken = {p["pair"] for p in rep["pairs"] if not p["constant"]}
     assert broken and all("D_1" in pair for pair in broken)
 
+
+
+def test_initial_seed_matrix_is_the_affine_a1_one():
+    assert initial_seed_sl2(None, 3).matrix == exchange_matrix((0, 1) * 3, SL2_HAT)
+
+
+@pytest.mark.parametrize("label, degs", [("A2", (2, 1)), ("B2", (2, 1)), ("A2", (5, 5))])
+def test_sample_chart_point_over_a_degree_vector(label, degs):
+    """Keys in the order of the table's coordinates, nonzero values, and w
+    distinct across all colors."""
+    table = BracketTable(datum(label), degs, "trigonometric")
+    rng = random.Random(5)
+    for _ in range(20):
+        pt = sample_chart_point(degs, rng)
+        assert tuple(pt) == table.coordinates
+        assert all(pt.values())
+        ws = [v for k, v in pt.items() if k.startswith("w")]
+        assert len(set(ws)) == len(ws) == sum(degs)
+
+
+def test_log_canonicity_two_colors_a2():
+    """At A2 (1,1) {log y1_1, log y2_1} varies from point to point, while
+    {log y1_1, log(y2_1 / (w1_1 - w2_1))} is the constant 1/2."""
+    table = BracketTable(datum("A2"), (1, 1), "trigonometric")
+    y1, y2 = table.var("y1_1"), table.var("y2_1")
+    quotient = y2 / (table.var("w1_1") - table.var("w2_1"))
+    seed = Seed(("y1_1", "y2_1", "q"), (y1, y2, quotient), ExchangeMatrix(3, (), ((),) * 3))
+    rep = log_canonicity_check(seed, table, trials=3, rng=random.Random(0))
+    values = {p["pair"]: p["values"] for p in rep["pairs"]}
+    assert values[("y1_1", "y2_1")] == [F(5, 4), F(-13, 22), F(1, 82)]
+    assert values[("y1_1", "q")] == [F(1, 2)] * 3
+    assert not rep["ok"]
+
+
+@pytest.mark.parametrize("label, degs", [("A2", (1, 1)), ("A2", (2, 2)), ("B2", (2, 1))])
+def test_log_canonicity_per_color_hankel_seeds(label, degs):
+    """The union of the per-color Hankel minors is log-canonical within a
+    color and not across the two adjacent colors."""
+    table = BracketTable(datum(label), degs, "trigonometric")
+    labels, variables = [], []
+    for i, a in enumerate(degs, start=1):
+        ws = [table.var(f"w{i}_{r}") for r in range(1, a + 1)]
+        ys = [table.var(f"y{i}_{r}") for r in range(1, a + 1)]
+        variables += hankel_minors(ws, ys, lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
+        labels += [f"{i}:{x}{m}" for m in range(1, a + 1) for x in "DC"]
+    n = len(labels)
+    seed = Seed(labels, variables, ExchangeMatrix(n, (), ((),) * n))
+    rep = log_canonicity_check(seed, table, trials=4, rng=random.Random(1))
+    assert len(rep["pairs"]) == n * (n - 1) // 2
+    for p in rep["pairs"]:
+        u, v = p["pair"]
+        assert p["constant"] == (u[0] == v[0]), p

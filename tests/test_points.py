@@ -269,6 +269,16 @@ def test_point_document_rejects_non_string_scalars(scalar):
         UniPoly.from_json([scalar, 1])
 
 
+@pytest.mark.parametrize("coeffs", ["31", {"-1": 0, "1": 0}])
+def test_point_document_rejects_non_list_coefficients(coeffs):
+    # read item by item, "31" would be Q = 3 + z and the object Q = z - 1
+    with pytest.raises(TypeError, match="coefficient list"):
+        UniPoly.from_json(coeffs)
+    doc = {"type": "A1", "Q": [coeffs], "R": [["2"]]}
+    with pytest.raises(ValueError, match="malformed point document"):
+        ZastavaPoint.from_json(doc)
+
+
 def test_point_document_degrees_must_match_Q():
     doc = {"type": "A1", "degrees": [5], "Q": [["3", "-4", "1"]], "R": [["1", "1"]]}
     with pytest.raises(ValueError, match=r"\[5\].*\[2\]"):
