@@ -295,7 +295,9 @@ def sample_chart_point(degrees: Sequence[int], rng: random.Random) -> dict[str, 
     across any colors is rejected.  The keys come in the order of
     ``BracketTable.coordinates``.  Raises ValueError when the degrees sum
     to more than the distinct nonzero w values, before anything is drawn,
-    or after 1000 rejected draws.
+    or after 1000 rejected draws.  The practical limit is a degree sum of
+    about 16: the 1000 draws ran out for 2 of 20 seeds at a sum of 17, for
+    5 at 18 and for 16 at 20, and for none of 20 at 16 or below.
     """
     total = sum(degrees)
     if total > _CHART_VALUES:

@@ -143,11 +143,12 @@ def crosscheck_three_routes(point) -> dict:
     """Compare Hankel, sub-resultant, and wedge values for one point.
 
     Returns per-index records for both families (C_1..C_a, then
-    D_1..D_{a-1}) with the three values, the raw window determinant as the
-    wedge value, the wedge/Hankel and sub-resultant/Hankel sign factors,
-    and an agreement flag: every ratio at this point is +1 or -1, or 0/0.
-    The flag does not compare signs across points; callers that need a
-    sign fixed per index compare the records of several points.
+    D_1..D_{a-1}) and an agreement flag: true iff at every index
+    hankel == signed wedge == subresultant, where the signed wedge is
+    +det(_window_C(r)) for C_r and (-1)^r det(_window_D(r)) for D_r.  A
+    record holds the three values, the raw window determinant as the
+    wedge value, and the closed-form signs that relate the wedge and the
+    sub-resultant to the Hankel minor (None where the Hankel minor is 0).
     """
     Q, R = _point_qr(point)
     a = Q.degree
@@ -161,27 +162,20 @@ def crosscheck_three_routes(point) -> dict:
     )
     records = []
     ok = True
-
-    def ratio(x: Fraction, ref: Fraction):
-        if ref == 0:
-            return None if x == 0 else "mismatch"
-        q = x / ref
-        return int(q) if q in (1, -1) else "mismatch"
-
     for family, indices, hankel_minor, window, subresultant in families:
         for r in indices:
             hank = hankel_minor(c, r)
             wedge = window(r).determinant(g)
             subr = subresultant(r)
-            rec = {
+            sign = (-1) ** r if family == "D" else 1
+            ok &= hank == sign * wedge == subr
+            records.append({
                 "family": family,
                 "index": r,
                 "hankel": hank,
                 "wedge": wedge,
                 "subresultant": subr,
-                "wedge_sign": ratio(wedge, hank),
-                "subresultant_sign": ratio(subr, hank),
-            }
-            ok &= rec["wedge_sign"] != "mismatch" and rec["subresultant_sign"] != "mismatch"
-            records.append(rec)
+                "wedge_sign": sign if hank else None,
+                "subresultant_sign": 1 if hank else None,
+            })
     return {"agree": bool(ok), "records": records}

@@ -177,10 +177,6 @@ def from_coords(
     y = tuple(map(_fractions, y))
     Qs, Rs = [], []
     for ws, ys in zip(w, y):
-        if not _distinct(ws):
-            raise ValueError("repeated roots within a color")
-        if require_trigonometric and not all(ws):
-            raise ValueError("zero root not allowed on the trigonometric tier")
         Qs.append(UniPoly.from_roots(ws))
         Rs.append(lagrange_interpolate(list(zip(ws, ys))))
     pt = ZastavaPoint(dat, tuple(Qs), tuple(Rs), w, y)
@@ -203,8 +199,6 @@ def recover_coords(pt: ZastavaPoint) -> ZastavaPoint:
         roots = rational_roots(q)
         if len(roots) != q.degree:
             raise ValueError("Q does not split over the rationals")
-        if not _distinct(roots):
-            raise ValueError("repeated roots; coordinate chart undefined")
         ws.append(tuple(roots))
         ys.append(tuple(r(x) for x in roots))
     return ZastavaPoint(pt.datum, pt.Q, pt.R, tuple(ws), tuple(ys))
@@ -325,13 +319,13 @@ def eta_shift(pt: ZastavaPoint, i: int) -> ZastavaPoint:
 # -- chart coordinates ------------------------------------------------------
 
 
-def coordinate_ring(degrees: Sequence[int], extra: Sequence[str] = ()) -> Ring:
-    """Ring over w_{i,r}, y_{i,r} (colors numbered from 1) plus extras."""
+def coordinate_ring(degrees: Sequence[int]) -> Ring:
+    """Ring over w_{i,r}, y_{i,r} (colors numbered from 1)."""
     names = []
     for i, a in enumerate(degrees, start=1):
         names += [f"w{i}_{r}" for r in range(1, a + 1)]
         names += [f"y{i}_{r}" for r in range(1, a + 1)]
-    return Ring(tuple(names) + tuple(extra))
+    return Ring(tuple(names))
 
 
 def coordinate_assignment(pt: ZastavaPoint) -> dict[str, Fraction]:

@@ -43,6 +43,8 @@ class BracketTable:
             raise ValueError("kind must be rational or trigonometric")
         if len(self.degrees) != self.datum.rank:
             raise ValueError("one degree per color required")
+        if any(a < 0 for a in self.degrees):
+            raise ValueError(f"degrees must be nonnegative, not {tuple(self.degrees)}")
         names = []
         for i, a in enumerate(self.degrees, start=1):
             names += [f"w{i}_{r}" for r in range(1, a + 1)]

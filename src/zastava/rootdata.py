@@ -1,8 +1,18 @@
 """Cartan data for classical finite types and their untwisted affinizations.
 
-The pairing matrix is P = diag(d) * C, with the symmetrizer d normalized so
-the smallest diagonal entry of P is 2.  Affine Cartan matrices are computed
-from the highest root rather than hardcoded per type.
+Reading: C_ij = <alpha_i^vee, alpha_j>, and the pairing matrix
+P = diag(d) * C is the form (alpha_i, alpha_j), with the symmetrizer d
+normalized so the smallest diagonal entry of P is 2; so d_i is half the
+squared length of alpha_i.  Each family states its symmetrizer and its
+highest root theta in closed form (Kac, *Infinite-dimensional Lie
+algebras*, Ch. 4 and 6); the affine Cartan matrix is computed from theta.
+
+Under this reading the matrix built as "B_n" has its last simple root
+long (d = 1..1,2, theta = 2..2,1) and the one built as "C_n" its last root
+short (d = 2..2,1, theta = 1,2..2).  So the built "B_n" is the textbook
+C_n and the built "C_n" the textbook B_n; the labels match the textbook
+only under the transposed reading C_ij = <alpha_j^vee, alpha_i>.  A_n has d = 1..1 and theta = 1..1, and
+D_n d = 1..1 and theta = 1,2..2,1,1.
 """
 
 from __future__ import annotations
@@ -57,89 +67,34 @@ class RootDatum:
 MAX_RANK = 32
 
 
-def _cartan_finite(family: str, n: int) -> list[list[int]]:
+def _cartan_finite(family: str, n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The Cartan matrix of the family at rank n, with its symmetrizer d
+    and the coordinates of its highest root theta in the simple roots."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and MAX_RANK = {MAX_RANK}")
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n - 1):
         c[i][i + 1] = c[i + 1][i] = -1
     if family == "A":
-        pass
-    elif family == "B":
+        return c, [1] * n, [1] * n
+    if family == "B":
         if n < 2:
             raise ValueError("B_n needs rank >= 2")
-        c[n - 2][n - 1] = -2  # last node short
-    elif family == "C":
+        c[n - 2][n - 1] = -2  # last node long: d_n = 2
+        return c, [1] * (n - 1) + [2], [2] * (n - 1) + [1]
+    if family == "C":
         if n < 2:
             raise ValueError("C_n needs rank >= 2")
-        c[n - 1][n - 2] = -2  # last node long
-    elif family == "D":
+        c[n - 1][n - 2] = -2  # last node short: d_n = 1
+        return c, [2] * (n - 1) + [1], [1] + [2] * (n - 1)
+    if family == "D":
         if n < 3:
             raise ValueError("D_n needs rank >= 3")
+        # node n-3 branches to the two end nodes n-2 and n-1
         c[n - 2][n - 1] = c[n - 1][n - 2] = 0
         c[n - 3][n - 1] = c[n - 1][n - 3] = -1
-    else:
-        raise ValueError(f"unsupported type family {family!r}")
-    return c
-
-
-def _symmetrizer(c: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Positive d with d_i C_ij = d_j C_ji, normalized to min 1."""
-    n = len(c)
-    d: list[Optional[Fraction]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and c[i][j] != 0:
-                    dj = d[i] * Fraction(c[i][j], c[j][i])
-                    if d[j] is None:
-                        d[j] = dj
-                        stack.append(j)
-                    elif d[j] != dj:
-                        raise ValueError("Cartan matrix is not symmetrizable")
-    m = min(d)  # type: ignore[arg-type]
-    return [x / m for x in d]  # type: ignore[operator,union-attr]
-
-
-def _positive_roots(c: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All positive roots, as coordinate vectors in the simple-root basis."""
-    n = len(c)
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-    def reflect(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
-        # s_i(alpha) = alpha - <alpha_i^vee, alpha> alpha_i
-        pair = sum(c[i][k] * alpha[k] for k in range(n))
-        out = list(alpha)
-        out[i] -= pair
-        return tuple(out)
-
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for i in range(n):
-                beta = reflect(alpha, i)
-                if beta not in seen:
-                    seen.add(beta)
-                    nxt.append(beta)
-        frontier = nxt
-    return sorted(a for a in seen if all(x >= 0 for x in a) and any(a))
-
-
-def _highest_root(c: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    pos = _positive_roots(c)
-    theta = max(pos, key=sum)
-    # the highest root dominates every positive root coordinatewise
-    for alpha in pos:
-        if any(t < a for t, a in zip(theta, alpha)):
-            raise ValueError("no unique highest root (reducible Cartan matrix?)")
-    return theta
+        return c, [1] * n, [1] + [2] * (n - 3) + [1, 1]
+    raise ValueError(f"unsupported type family {family!r}")
 
 
 def datum(type_tag: str) -> RootDatum:
@@ -160,40 +115,34 @@ def datum(type_tag: str) -> RootDatum:
 @cache
 def _datum(family: str, n: int, affine: bool) -> RootDatum:
     # a key that raises is not stored, so at most 4 * MAX_RANK * 2 entries
-    c = _cartan_finite(family, n)
-    fin = RootDatum(label=f"{family}{n}", cartan=tuple(map(tuple, c)), d=tuple(_symmetrizer(c)))
-    if not affine:
-        return fin
-    return affinize(fin)
+    c, d, theta = _cartan_finite(family, n)
+    fin = RootDatum(label=f"{family}{n}", cartan=tuple(map(tuple, c)),
+                    d=tuple(map(Fraction, d)))
+    return affinize(fin, theta) if affine else fin
 
 
-def affinize(fin: RootDatum) -> RootDatum:
+def affinize(fin: RootDatum, theta: Sequence[int]) -> RootDatum:
     """Untwisted affine Cartan matrix: extra node 0 attached via the highest
     root theta: C_{0j} = -<theta^vee, alpha_j>, C_{j0} = -<alpha_j^vee, theta>."""
     c = fin.cartan
     n = fin.rank
-    theta = _highest_root(c)
-    dtheta = sum(
-        theta[k] * theta[l] * fin.d[k] * c[k][l] for k in range(n) for l in range(n)
-    ) / 2
+    # d_theta = (theta, theta) / 2, the symmetrizer entry of node 0
+    dtheta = sum(theta[k] * theta[l] * fin.pairing[k][l] for k in range(n) for l in range(n)) / 2
     row0 = [2]
     col0 = []
     for j in range(n):
         # <alpha_j^vee, theta> = sum_k theta_k C_jk
         col0.append(-sum(theta[k] * c[j][k] for k in range(n)))
-        # <theta^vee, alpha_j> = (theta, alpha_j) / d_theta = sum_k theta_k d_k C_kj / d_theta
-        val = sum(theta[k] * fin.d[k] * c[k][j] for k in range(n)) / dtheta
+        # <theta^vee, alpha_j> = (theta, alpha_j) / d_theta = sum_k theta_k P_kj / d_theta
+        val = sum(theta[k] * fin.pairing[k][j] for k in range(n)) / dtheta
         if val.denominator != 1:
             raise ValueError("non-integral affine Cartan entry")
         row0.append(-int(val))
     aff = [row0] + [[col0[j]] + list(c[j]) for j in range(n)]
-    d0 = [dtheta] + list(fin.d)
-    m = min(d0)
-    d0 = [x / m for x in d0]
     return RootDatum(
         label=f"{fin.label}-affine",
         cartan=tuple(map(tuple, aff)),
-        d=tuple(d0),
+        d=(dtheta,) + fin.d,
         affine=True,
         finite=fin,
     )

@@ -106,10 +106,9 @@ def verify_gw_w(point: ZastavaPoint, data: SuperData) -> dict:
     return {"ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
-def positivity_sample(a: int, trials: int, rng: Optional[random.Random] = None,
-                      kappa_bound: int = 4) -> dict:
+def positivity_sample(a: int, trials: int, rng: Optional[random.Random] = None) -> dict:
     """Evidence collection for rank-one degree a: sample points with all
-    initial cluster variables positive and nonnegative kappa, and record
+    initial cluster variables positive and kappa coefficients in 0..4, and record
     the signs of the exact part and the boundary factor.
 
     No theorem is asserted; the report carries raw counts.
@@ -143,7 +142,7 @@ def positivity_sample(a: int, trials: int, rng: Optional[random.Random] = None,
         if any(v <= 0 for v in minors):
             continue
         K = UniPoly(
-            [Fraction(rng.randint(0, kappa_bound)) for _ in range(rng.randint(0, 2 * a))]
+            [Fraction(rng.randint(0, 4)) for _ in range(rng.randint(0, 2 * a))]
             + [Fraction(1)]
         )
         val = eval_gw(pt, SuperData((K,)))

@@ -24,7 +24,7 @@ from zastava.rootdata import datum
 from zastava.series import series_coefficients, series_expand
 from zastava.superpotential import SuperData, verify_gw_w
 from zastava.unipoly import UniPoly
-from zastava.verify import random_rooted_pair, random_sl2_point
+from zastava.verify import random_sl2_point
 
 A1 = datum("A1")
 A2 = datum("A2")
@@ -39,20 +39,16 @@ def test_criterion_01_three_route_minors():
     t0 = time.monotonic()
     rng = random.Random(101)
     ok = True
-    # sign factors must be constant per (a, family, index) across all points
-    signs: dict[tuple, object] = {}
+    # Hankel = signed wedge = sub-resultant, with the wedge signed +1 for
+    # C_r and (-1)^r for D_r
     for a in (1, 2, 3, 4):
         for _ in range(25):
             pt = random_sl2_point(a, rng)
             res = crosscheck_three_routes(pt)
             ok &= res["agree"]
             for rec in res["records"]:
-                for route in ("wedge_sign", "subresultant_sign"):
-                    s = rec[route]
-                    if s is None:
-                        continue
-                    key = (a, rec["family"], rec["index"], route)
-                    ok &= signs.setdefault(key, s) == s
+                sign = (-1) ** rec["index"] if rec["family"] == "D" else 1
+                ok &= rec["hankel"] == sign * rec["wedge"] == rec["subresultant"]
     elapsed = time.monotonic() - t0
     ok &= elapsed < 30
     _report(1, f"three-route minor equality, {elapsed:.1f}s", ok)
@@ -63,13 +59,14 @@ def test_criterion_02_subresultant_hankel():
     ok = True
     for a in range(1, 6):
         for _ in range(20):
-            Q, R = random_rooted_pair(a, rng)
+            pt = random_sl2_point(a, rng)
+            Q, R = pt.Q[0], pt.R[0]
             c = series_expand(R, Q, 2 * a + 1)
             for i in range(a):
-                ok &= abs(subresultant_odd(Q, R, i)) == abs(hankel_minor_C(c, a - i))
+                ok &= subresultant_odd(Q, R, i) == hankel_minor_C(c, a - i)
             for i in range(a - 1):
-                ok &= abs(subresultant_even(Q, R, i)) == abs(hankel_minor_D(c, a - i - 1))
-    _report(2, "sub-resultant vs Hankel magnitudes", ok)
+                ok &= subresultant_even(Q, R, i) == hankel_minor_D(c, a - i - 1)
+    _report(2, "sub-resultant equals Hankel minor", ok)
 
 
 def test_criterion_03_bezout_completion():
@@ -77,7 +74,8 @@ def test_criterion_03_bezout_completion():
     ok = True
     for n in range(100):
         a = 1 + n % 6
-        Q, R = random_rooted_pair(a, rng)
+        pt = random_sl2_point(a, rng)
+        Q, R = pt.Q[0], pt.R[0]
         Fp, Dp = bezout_complete(Q, R)
         ok &= Q * Fp - R * Dp == UniPoly.monomial(2 * a)
         ok &= g_matrix(Q, R).det_is_one()

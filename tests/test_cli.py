@@ -143,9 +143,12 @@ _POINT_DOCS = {
     ["point", "--validate", "string-coeffs.json"],
     ["point", "--validate", "object-coeffs.json"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "51", "--check", "symplectic"],
+    ["verify", "--profile", "sl2hank", "--trials", "-1"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "-1", "--check", "jacobi"],
+    ["cluster", "--a", "20", "--check", "log-canonical", "--trials", "1"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
-        "sampler-bound"])
+        "sampler-bound", "no-trials", "negative-degree", "sampler-exhaustion"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from zastava.linalg import det, hankel_minor_C, hankel_minor_D
+from zastava.linalg import det, hankel_minor_C, hankel_minor_D, subresultant_even, subresultant_odd
 from zastava.minors import (
     WedgeWindow,
     _window_C,
@@ -89,8 +89,9 @@ def test_crosscheck_example():
     assert vals[("C", 1)]["hankel"] == 1 and vals[("C", 2)]["hankel"] == -8
     assert vals[("D", 1)]["hankel"] == 5
     for r in rep["records"]:
-        assert r["wedge_sign"] in (1, -1, None)
-        assert r["subresultant_sign"] in (1, -1, None)
+        sign = (-1) ** r["index"] if r["family"] == "D" else 1
+        assert r["hankel"] == sign * r["wedge"] == r["subresultant"]
+        assert r["wedge_sign"] == sign and r["subresultant_sign"] == 1
 
 
 def test_crosscheck_random():
@@ -130,6 +131,42 @@ def test_wedge_matches_hankel_larger_sizes():
                 nonzero_D[r] += d != 0
         # the (-1)^r sign is exercised only where D_r is nonzero
         assert all(nonzero_D.values()), (a, nonzero_D)
+
+
+_small = st.integers(-9, 9).map(F) | st.builds(F, st.integers(-99, 99), st.integers(1, 9))
+
+
+@st.composite
+def _qr_with_boundary(draw):
+    """Q monic of degree a in 1..8 and deg R < a.  Two kinds of draw are
+    boundary points: R shares the root x of Q (gcd != 1), or Q has the
+    root 0."""
+    a = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["free", "shared", "root-zero"]))
+    if kind == "free":
+        return (UniPoly(draw(st.lists(_small, min_size=a, max_size=a)) + [1]),
+                UniPoly(draw(st.lists(_small, max_size=a))))
+    x = F(0) if kind == "root-zero" else draw(_small)
+    Q = UniPoly([-x, 1]) * UniPoly(draw(st.lists(_small, min_size=a - 1, max_size=a - 1)) + [1])
+    if kind == "shared":
+        return Q, UniPoly([-x, 1]) * UniPoly(draw(st.lists(_small, max_size=a - 1)))
+    return Q, UniPoly(draw(st.lists(_small, max_size=a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qr_with_boundary())
+@example((UniPoly.from_roots([F(1), F(2), F(3)]), UniPoly([-1, 1]) * UniPoly([2, 5])))
+@example((UniPoly.from_roots([F(0), F(2), F(-3)]), UniPoly([4, -1, 7])))
+def test_subresultants_equal_hankel_minors(qr):
+    # the sub-resultant route carries sign +1 at every index, on the
+    # boundary (gcd(Q, R) != 1, Q(0) = 0) too
+    Q, R = qr
+    a = Q.degree
+    c = series_expand(R, Q, 2 * a + 1)
+    for r in range(1, a + 1):
+        assert subresultant_odd(Q, R, a - r) == hankel_minor_C(c, r)
+    for r in range(1, a):
+        assert subresultant_even(Q, R, a - r - 1) == hankel_minor_D(c, r)
 
 
 def test_rank_one_only():

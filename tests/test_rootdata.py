@@ -74,3 +74,47 @@ def test_datum_built_once_per_normalised_tag():
             with pytest.raises(ValueError):
                 datum(tag)
     assert _datum.cache_info().currsize <= before + 1
+
+
+# Coxeter numbers: theta has height h - 1
+_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n, "D": lambda n: 2 * n - 2}
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_highest_root_tables(family):
+    from zastava.rootdata import MAX_RANK, _cartan_finite
+
+    for n in range(_MIN_RANK[family], MAX_RANK + 1):
+        fin = datum(f"{family}{n}")
+        aff = datum(f"{family}{n}-affine")
+        _, _, theta = _cartan_finite(family, n)
+        assert sum(theta) == _COXETER[family](n) - 1, (family, n)
+        # dominant: <theta^vee, alpha_j> >= 0 and <alpha_j^vee, theta> >= 0
+        assert all(aff.cartan[0][j] <= 0 and aff.cartan[j][0] <= 0 for j in range(1, n + 1))
+        # theta is a long root, and node 0 carries its length
+        assert aff.d[0] == max(fin.d)
+        assert aff.finite == fin
+        assert all(aff.cartan[j][1:] == fin.cartan[j - 1] for j in range(1, n + 1))
+
+
+def test_small_affine_matrices():
+    # C_ij = <alpha_i^vee, alpha_j>; "B_n" has its last simple root long
+    # and "C_n" its last root short (see the rootdata docstring)
+    assert datum("B2").d == (1, 2) and datum("C2").d == (2, 1)
+    cases = {
+        "B2-affine": (((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (2, 1, 2)),
+        "B3-affine": (((2, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+                      (2, 1, 1, 2)),
+        "C2-affine": (((2, 0, -1), (0, 2, -1), (-2, -2, 2)), (2, 2, 1)),
+        "C3-affine": (((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -2, 2)),
+                      (2, 2, 2, 1)),
+        "D4-affine": (((2, 0, -1, 0, 0), (0, 2, -1, 0, 0), (-1, -1, 2, -1, -1),
+                       (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)), (1,) * 5),
+        "D5-affine": (((2, 0, -1, 0, 0, 0), (0, 2, -1, 0, 0, 0), (-1, -1, 2, -1, 0, 0),
+                       (0, 0, -1, 2, -1, -1), (0, 0, 0, -1, 2, 0), (0, 0, 0, -1, 0, 2)),
+                      (1,) * 6),
+    }
+    for tag, (cartan, d) in cases.items():
+        assert datum(tag).cartan == cartan, tag
+        assert datum(tag).d == d, tag
