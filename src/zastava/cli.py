@@ -10,6 +10,7 @@ the input is read (reported as a JSON object with a "reason" on stderr).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -111,27 +112,28 @@ def _parse_sizes(text: str) -> list[int]:
 # -- subcommands --------------------------------------------------------------
 
 
-# verify profiles and poisson checks that take --trials; only the
-# sl2hank profile takes --point
-_TRIALS_PROFILES = ("sl2hank", "kronecker", "symplectic", "gw", "logcanon")
+# poisson checks that take --trials
 _TRIALS_CHECKS = ("symplectic",)
 
 
 def _check_flags(parser: argparse.ArgumentParser, args) -> None:
     """Reject flags the chosen verify profile or poisson check would
-    ignore, and a poisson check the chosen kind does not define (exit
-    status 2)."""
+    ignore (a profile takes --trials and --point when its function has
+    ``trials`` and ``points`` parameters), and a poisson check the chosen
+    kind does not define (exit status 2)."""
     if args.command == "verify":
-        what, name, takes_trials = "profile", args.profile, _TRIALS_PROFILES
-        if args.point and name != "sl2hank":
-            parser.error(f"--point applies only to profile 'sl2hank', not {name!r}")
+        what, name = "profile", args.profile
+        params = inspect.signature(_PROFILES[name]).parameters if name in _PROFILES else {}
+        takes_trials = "trials" in params
+        if args.point and "points" not in params:
+            parser.error(f"--point does not apply to profile {name!r}")
     elif args.command == "poisson":
-        what, name, takes_trials = "check", args.check, _TRIALS_CHECKS
+        what, name, takes_trials = "check", args.check, args.check in _TRIALS_CHECKS
         if name == "symplectic" and args.kind == "rational":
             parser.error("symplectic check is defined for the trigonometric kind")
     else:
         return
-    if args.trials is not None and name not in takes_trials:
+    if args.trials is not None and not takes_trials:
         parser.error(f"--trials does not apply to {what} {name!r}")
 
 
@@ -152,7 +154,7 @@ def cmd_minors(args) -> int:
     with _reading():
         pt = ZastavaPoint.load(args.point)
     res = crosscheck_three_routes(pt)
-    _emit(res, args.report)
+    _emit(res, args.output)
     return 0 if res["agree"] else 1
 
 
@@ -297,16 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *output_aliases):
         sp.add_argument("--rng", type=int, default=0,
                         help="RNG seed (default 0; env ZASTAVA_RNG overrides)")
-        sp.add_argument("--output", help="write JSON/CSV here instead of stdout")
+        sp.add_argument("--output", *output_aliases, help="write JSON/CSV here instead of stdout")
 
     sp = sub.add_parser("verify", help="run a named verification profile")
     sp.add_argument("--profile", required=True,
                     choices=[*_PROFILES, "all"])
     sp.add_argument("--trials", type=int)
-    sp.add_argument("--point", help="extra point file for sl2hank")
+    sp.add_argument("--point", help="extra point file, for a profile that takes one (sl2hank)")
     sp.add_argument("--no-timing", action="store_true",
                     help="omit timing fields (byte-deterministic output)")
     common(sp)
@@ -314,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("minors", help="three-route minor table for a point")
     sp.add_argument("--point", required=True)
-    sp.add_argument("--report", help="write the JSON table here")
-    common(sp)
+    common(sp, "--report")
     sp.set_defaults(fn=cmd_minors)
 
     sp = sub.add_parser("poisson", help="bracket checks for one configuration")

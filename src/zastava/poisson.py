@@ -45,6 +45,8 @@ class BracketTable:
             raise ValueError("one degree per color required")
         if any(a < 0 for a in self.degrees):
             raise ValueError(f"degrees must be nonnegative, not {tuple(self.degrees)}")
+        if not any(self.degrees):  # an empty chart would pass every check unchecked
+            raise ValueError(f"at least one degree must be positive, not {tuple(self.degrees)}")
         names = []
         for i, a in enumerate(self.degrees, start=1):
             names += [f"w{i}_{r}" for r in range(1, a + 1)]
@@ -131,18 +133,15 @@ def jacobi_check(table: BracketTable, f: MultiRat, g: MultiRat, h: MultiRat) -> 
     )
 
 
-def jacobi_report(table: BracketTable, triples: Optional[Sequence[tuple[str, str, str]]] = None) -> dict:
-    """Jacobi sums over coordinate triples; defaults to every unordered
-    triple of chart coordinates."""
-    coords = table.coordinates
-    if triples is None:
-        triples = list(itertools.combinations(coords, 3))
+def jacobi_report(table: BracketTable) -> dict:
+    """Jacobi sums over every unordered triple of chart coordinates."""
+    triples = list(itertools.combinations(table.coordinates, 3))
     failures = []
     for a, b, c in triples:
         s = jacobi_check(table, table.var(a), table.var(b), table.var(c))
         if not s.is_zero:
             failures.append((a, b, c))
-    return {"ok": not failures, "checked": len(list(triples)), "failures": failures}
+    return {"ok": not failures, "checked": len(triples), "failures": failures}
 
 
 def bivector_matrix(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:

@@ -1,6 +1,7 @@
 """Verification pipelines: named check suites with JSON-able reports.
 
-Each profile runs a family of exact identities under a recorded RNG seed;
+Each profile yields its checks of a family of exact identities, and
+``run_profile`` runs them under a recorded RNG seed;
 a report with any failing check maps to a nonzero process exit status in
 the CLI.  Timing fields are informational and excluded from the
 determinism contract.
@@ -8,11 +9,13 @@ determinism contract.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .cluster import initial_seed_sl2, log_canonicity_check, sample_chart_point
@@ -32,16 +35,6 @@ class VerificationReport:
     rng_seed: int
     checks: list = field(default_factory=list)
 
-    def add(self, identifier: str, ok: bool, witness=None, elapsed_ns: int = 0) -> None:
-        self.checks.append(
-            {
-                "id": identifier,
-                "status": "pass" if ok else "fail",
-                "witness": witness if not ok else None,
-                "timing_ns": elapsed_ns,
-            }
-        )
-
     @property
     def ok(self) -> bool:
         return all(c["status"] != "fail" for c in self.checks)
@@ -59,16 +52,15 @@ class VerificationReport:
         }
 
 
-def _timed(report: VerificationReport, identifier: str, fn: Callable[[], tuple[bool, object]]) -> None:
-    """Run one check and record it; a check that raises is a failure whose
-    witness names the exception (the traceback goes to stderr)."""
-    t0 = time.perf_counter_ns()
-    try:
-        ok, witness = fn()
-    except Exception as exc:  # one broken check must not end the report
-        traceback.print_exc()
-        ok, witness = False, {"reason": f"{type(exc).__name__}: {exc}"}
-    report.add(identifier, ok, witness, time.perf_counter_ns() - t0)
+@dataclass(frozen=True)
+class Sampled:
+    """A check over ``trials`` inputs, each drawn by ``draw(rng)`` and
+    checked by ``check(input) -> (ok, witness)``; the first failing input
+    ends it."""
+
+    trials: int
+    draw: Callable[[random.Random], object]
+    check: Callable[[object], tuple[bool, object]]
 
 
 # -- random instance generators ---------------------------------------------
@@ -83,61 +75,59 @@ def random_sl2_point(a: int, rng: random.Random) -> ZastavaPoint:
 
 
 # -- profiles -----------------------------------------------------------------
+#
+# A profile yields its checks in order as (id, check) pairs.  A check is a
+# Sampled, or a function of the shared RNG returning (ok, witness); a
+# witness is read only when ok is false.
 
 
-def run_sl2hank(rng: random.Random, trials: int = 25,
-                points: Sequence[ZastavaPoint] = ()) -> VerificationReport:
-    rep = VerificationReport("sl2hank", rng_seed=-1)
-    for a in (1, 2, 3, 4):
-        def check(a=a):
-            for t in range(trials):
-                pt = random_sl2_point(a, rng)
-                res = crosscheck_three_routes(pt)
-                if not res["agree"]:
-                    return False, {"point": pt.to_json(), "records": _str_records(res["records"])}
-            return True, None
-        _timed(rep, f"three-route-a{a}-x{trials}", check)
-    for k, pt in enumerate(points):
-        _timed(rep, f"three-route-point-{k}", lambda pt=pt: _crosscheck_point(pt))
-    return rep
-
-
-def _crosscheck_point(pt: ZastavaPoint) -> tuple[bool, object]:
+def _three_routes(pt: ZastavaPoint) -> tuple[bool, object]:
     res = crosscheck_three_routes(pt)
-    return res["agree"], None if res["agree"] else {"records": _str_records(res["records"])}
-
-
-def _str_records(records) -> list:
-    return [
+    if res["agree"]:
+        return True, None
+    records = [
         {k: (str(v) if isinstance(v, Fraction) else v) for k, v in rec.items()}
-        for rec in records
+        for rec in res["records"]
     ]
+    return False, {"records": records}
 
 
-def run_kronecker(rng: random.Random, trials: int = 20) -> VerificationReport:
-    """Sub-resultant minors against Hankel minors at sampled points: odd
-    index i equals C_{a-i}, even index i equals D_{a-i-1}."""
-    rep = VerificationReport("kronecker", rng_seed=-1)
+def _three_routes_at_sample(pt: ZastavaPoint) -> tuple[bool, object]:
+    ok, witness = _three_routes(pt)
+    return ok, None if ok else {"point": pt.to_json(), **witness}
+
+
+def profile_sl2hank(trials: int = 25, points: Sequence[ZastavaPoint] = ()):
+    for a in (1, 2, 3, 4):
+        yield (f"three-route-a{a}-x{trials}",
+               Sampled(trials, partial(random_sl2_point, a), _three_routes_at_sample))
+    for k, pt in enumerate(points):
+        yield f"three-route-point-{k}", lambda rng, pt=pt: _three_routes(pt)
+
+
+def _kronecker(pt: ZastavaPoint) -> tuple[bool, object]:
+    """Sub-resultant minors against Hankel minors at one point: odd index
+    i equals C_{a-i}, even index i equals D_{a-i-1}."""
+    Q, R = pt.Q[0], pt.R[0]
+    a = Q.degree
+    c = series_expand(R, Q, 2 * a + 1)
     families = (
         ("odd", subresultant_odd, hankel_minor_C, 0),
         ("even", subresultant_even, hankel_minor_D, 1),
     )
+    for kind, subresultant, minor, shift in families:
+        for i in range(a - shift):
+            lhs = subresultant(Q, R, i)
+            ref = minor(c, a - i - shift)
+            if lhs != ref:
+                return False, {"kind": kind, "a": a, "i": i, "lhs": str(lhs),
+                               "ref": str(ref), "point": pt.to_json()}
+    return True, None
+
+
+def profile_kronecker(trials: int = 20):
     for a in range(1, 6):
-        def check(a=a):
-            for _ in range(trials):
-                pt = random_sl2_point(a, rng)
-                Q, R = pt.Q[0], pt.R[0]
-                c = series_expand(R, Q, 2 * a + 1)
-                for kind, subresultant, minor, shift in families:
-                    for i in range(a - shift):
-                        lhs = subresultant(Q, R, i)
-                        ref = minor(c, a - i - shift)
-                        if lhs != ref:
-                            return False, {"kind": kind, "a": a, "i": i, "lhs": str(lhs),
-                                           "ref": str(ref), "point": pt.to_json()}
-            return True, None
-        _timed(rep, f"kronecker-a{a}-x{trials}", check)
-    return rep
+        yield f"kronecker-a{a}-x{trials}", Sampled(trials, partial(random_sl2_point, a), _kronecker)
 
 
 _BRACKET_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -150,31 +140,22 @@ _BRACKET_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def run_jacobi(rng: random.Random) -> VerificationReport:
-    rep = VerificationReport("jacobi", rng_seed=-1)
+def profile_jacobi():
     for label, degs in _BRACKET_CONFIGS:
         for kind in ("rational", "trigonometric"):
-            table = BracketTable(datum(label), degs, kind)
-            def check(table=table):
-                res = jacobi_report(table)
-                return res["ok"], res["failures"] or None
-            _timed(rep, f"jacobi-{label}-{'-'.join(map(str, degs))}-{kind}", check)
-    return rep
+            def check(rng, label=label, degs=degs, kind=kind):
+                res = jacobi_report(BracketTable(datum(label), degs, kind))
+                return res["ok"], res["failures"]
+            yield f"jacobi-{label}-{'-'.join(map(str, degs))}-{kind}", check
 
 
-def run_symplectic(rng: random.Random, trials: int = 20) -> VerificationReport:
-    rep = VerificationReport("symplectic", rng_seed=-1)
+def profile_symplectic(trials: int = 20):
     for label, degs in _BRACKET_CONFIGS:
-        dat = datum(label)
-        def check(dat=dat, degs=degs):
-            for _ in range(trials):
-                pt = sample_chart_point(degs, rng)
-                res = symplectic_check_trig(dat, degs, pt)
-                if not res["ok"]:
-                    return False, {"point": {k: str(v) for k, v in pt.items()}}
-            return True, None
-        _timed(rep, f"symplectic-{label}-{'-'.join(map(str, degs))}-x{trials}", check)
-    return rep
+        def check(pt, label=label, degs=degs):
+            ok = symplectic_check_trig(datum(label), degs, pt)["ok"]
+            return ok, None if ok else {"point": {k: str(v) for k, v in pt.items()}}
+        yield (f"symplectic-{label}-{'-'.join(map(str, degs))}-x{trials}",
+               Sampled(trials, partial(sample_chart_point, degs), check))
 
 
 _DESCENT_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -190,69 +171,84 @@ _DESCENT_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def run_descent(rng: random.Random) -> VerificationReport:
-    rep = VerificationReport("descent", rng_seed=-1)
+def profile_descent():
     for label, degs in _DESCENT_CONFIGS:
         for kind in ("rational", "trigonometric"):
-            def check(label=label, degs=degs, kind=kind):
+            def check(rng, label=label, degs=degs, kind=kind):
                 res = verify_descent(datum(label), degs, kind)
-                return res["ok"], res["checks"] if not res["ok"] else None
-            _timed(rep, f"descent-{label}-{'-'.join(map(str, degs))}-{kind}", check)
-    return rep
+                return res["ok"], res["checks"]
+            yield f"descent-{label}-{'-'.join(map(str, degs))}-{kind}", check
 
 
-def run_gw(rng: random.Random, trials: int = 50) -> VerificationReport:
-    rep = VerificationReport("gw", rng_seed=-1)
+def _gw(drawn: tuple[ZastavaPoint, UniPoly]) -> tuple[bool, object]:
+    pt, K = drawn
+    res = verify_gw_w(pt, SuperData((K,)))
+    if res["ok"]:
+        return True, None
+    return False, {"point": pt.to_json(), "K": K.to_json(),
+                   "lhs": str(res["lhs"]), "rhs": str(res["rhs"])}
+
+
+def profile_gw(trials: int = 50):
     for a in range(1, 5):
-        def check(a=a):
-            for _ in range(trials):
-                pt = random_sl2_point(a, rng)
-                degK = rng.randint(0, 2 * a)
-                K = UniPoly([Fraction(rng.randint(-5, 5)) for _ in range(degK)] + [Fraction(1)])
-                res = verify_gw_w(pt, SuperData((K,)))
-                if not res["ok"]:
-                    return False, {"point": pt.to_json(), "K": K.to_json(),
-                                   "lhs": str(res["lhs"]), "rhs": str(res["rhs"])}
-            return True, None
-        _timed(rep, f"gw-eq-w-a{a}-x{trials}", check)
-    return rep
+        def draw(rng, a=a):
+            pt = random_sl2_point(a, rng)
+            degK = rng.randint(0, 2 * a)
+            return pt, UniPoly([Fraction(rng.randint(-5, 5)) for _ in range(degK)] + [Fraction(1)])
+        yield f"gw-eq-w-a{a}-x{trials}", Sampled(trials, draw, _gw)
 
 
-def run_logcanon(rng: random.Random, trials: int = 5) -> VerificationReport:
-    rep = VerificationReport("logcanon", rng_seed=-1)
+def profile_logcanon(trials: int = 5):
     for a in (2, 3, 4, 5, 6):
-        def check(a=a):
+        def check(rng, a=a):
             seed = initial_seed_sl2(None, a)
             table = BracketTable(datum("A1"), (a,), "trigonometric")
             res = log_canonicity_check(seed, table, trials=trials, rng=rng)
-            bad = [p["pair"] for p in res["pairs"] if not p["constant"]]
-            return res["ok"], bad or None
-        _timed(rep, f"log-canonical-a{a}-x{trials}", check)
-    return rep
+            return res["ok"], [p["pair"] for p in res["pairs"] if not p["constant"]]
+        yield f"log-canonical-a{a}-x{trials}", check
 
 
 _PROFILES = {
-    "sl2hank": run_sl2hank,
-    "kronecker": run_kronecker,
-    "jacobi": run_jacobi,
-    "descent": run_descent,
-    "symplectic": run_symplectic,
-    "gw": run_gw,
-    "logcanon": run_logcanon,
+    "sl2hank": profile_sl2hank,
+    "kronecker": profile_kronecker,
+    "jacobi": profile_jacobi,
+    "descent": profile_descent,
+    "symplectic": profile_symplectic,
+    "gw": profile_gw,
+    "logcanon": profile_logcanon,
 }
 
 
+def _outcome(check, rng: random.Random) -> tuple[bool, object]:
+    if not isinstance(check, Sampled):
+        return check(rng)
+    for _ in range(check.trials):
+        ok, witness = check.check(check.draw(rng))
+        if not ok:
+            return False, witness
+    return True, None
+
+
 def run_profile(profile: str, seed: int, **kwargs) -> VerificationReport:
-    """Run one named suite (or "all") deterministically under the seed."""
-    rng = random.Random(seed)
-    if profile == "all":
-        combined = VerificationReport("all", rng_seed=seed)
-        for name, fn in _PROFILES.items():
-            sub = fn(rng)
-            combined.checks.extend(sub.checks)
-        return combined
-    if profile not in _PROFILES:
+    """Run one named suite (or "all", each suite in turn) deterministically
+    under the seed; ``kwargs`` go to every profile run.  A check that
+    raises is a failure whose witness names the exception (the traceback
+    goes to stderr)."""
+    if profile != "all" and profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    rep = _PROFILES[profile](rng, **kwargs)
-    rep.rng_seed = seed
-    return rep
+    # bind every profile's arguments before any check runs
+    names = list(_PROFILES) if profile == "all" else [profile]
+    profiles = [_PROFILES[name](**kwargs) for name in names]
+    rng = random.Random(seed)
+    report = VerificationReport(profile, rng_seed=seed)
+    for identifier, check in itertools.chain.from_iterable(profiles):
+        t0 = time.perf_counter_ns()
+        try:
+            ok, witness = _outcome(check, rng)
+        except Exception as exc:  # one broken check must not end the report
+            traceback.print_exc()
+            ok, witness = False, {"reason": f"{type(exc).__name__}: {exc}"}
+        report.checks.append({"id": identifier, "status": "pass" if ok else "fail",
+                              "witness": None if ok else witness,
+                              "timing_ns": time.perf_counter_ns() - t0})
+    return report

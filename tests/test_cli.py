@@ -110,6 +110,16 @@ def test_point_roundtrip_and_minors(tmp_path, capsys):
     assert byidx[("C", 2)] == "-8" and byidx[("D", 1)] == "5"
 
 
+@pytest.mark.parametrize("flag", ["--output", "--report"])
+def test_minors_writes_its_output_file(flag, tmp_path, capsys):
+    pfile, outfile = str(tmp_path / "pt.json"), tmp_path / "minors.json"
+    main(["point", "--w", "1,3", "--y", "2,4", "--out", pfile])
+    capsys.readouterr()
+    code, out = _run(["minors", "--point", pfile, flag, str(outfile)], capsys)
+    assert code == 0 and out == ""
+    assert json.loads(outfile.read_text())["agree"]
+
+
 def test_corrupted_point_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degrees": [1]}')
@@ -146,9 +156,15 @@ _POINT_DOCS = {
     ["verify", "--profile", "sl2hank", "--trials", "-1"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "-1", "--check", "jacobi"],
     ["cluster", "--a", "20", "--check", "log-canonical", "--trials", "1"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "jacobi"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "descent"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "symplectic"],
+    ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "0,0", "--check", "jacobi"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
-        "sampler-bound", "no-trials", "negative-degree", "sampler-exhaustion"])
+        "sampler-bound", "no-trials", "negative-degree", "sampler-exhaustion",
+        "zero-degree-jacobi", "zero-degree-descent", "zero-degree-symplectic",
+        "zero-degrees-a2"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
@@ -296,10 +312,10 @@ def test_verify_records_a_raising_check(capsys, monkeypatch):
 
     original = verify.jacobi_report
 
-    def broken(table, triples=None):
+    def broken(table):
         if (table.datum.label, table.degrees, table.kind) == ("A2", (2, 1), "rational"):
             raise RuntimeError("broken check")
-        return original(table, triples)
+        return original(table)
 
     monkeypatch.setattr(verify, "jacobi_report", broken)
     argv = ["verify", "--profile", "jacobi", "--no-timing", "--rng", "1"]

@@ -105,6 +105,12 @@ def test_jacobi_check_and_report():
         assert rep["ok"] and rep["checked"] == 4 and rep["failures"] == []
 
 
+def test_jacobi_with_one_color_of_degree_zero():
+    for kind in ("rational", "trigonometric"):
+        rep = jacobi_report(BracketTable(A2, (2, 0), kind))
+        assert rep["ok"] and rep["checked"] == 4
+
+
 def test_jacobi_extended_a2():
     t = BracketTable(A2, (1, 1), "trigonometric", extended=True)
     rep = jacobi_report(t)
