@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bench as bench_mod
 from .cluster import initial_seed_sl2, log_canonicity_check, mutate, sample_chart_point
-from .minors import crosscheck_three_routes
+from .minors import _point_qr, crosscheck_three_routes
 from .points import ZastavaPoint, coordinate_assignment, from_coords, recover_coords
 from .poisson import BracketTable, jacobi_report, symplectic_check_trig, verify_descent
 from .rational import parse_scalar
@@ -137,6 +137,14 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--trials does not apply to {what} {name!r}")
 
 
+def _load_rank_one(path: str) -> ZastavaPoint:
+    """A point file for the three minor routes, which are stated for rank
+    one; raises ValueError on a point of higher rank."""
+    pt = ZastavaPoint.load(path)
+    _point_qr(pt)
+    return pt
+
+
 def cmd_verify(args) -> int:
     seed = _seed_from(args)
     kwargs = {}
@@ -144,7 +152,7 @@ def cmd_verify(args) -> int:
         kwargs["trials"] = args.trials
     if args.point:
         with _reading():
-            kwargs["points"] = [ZastavaPoint.load(args.point)]
+            kwargs["points"] = [_load_rank_one(args.point)]
     rep = run_profile(args.profile, seed, **kwargs)
     _emit(rep.to_json(include_timing=not args.no_timing), args.output)
     return 0 if rep.ok else 1
@@ -152,7 +160,7 @@ def cmd_verify(args) -> int:
 
 def cmd_minors(args) -> int:
     with _reading():
-        pt = ZastavaPoint.load(args.point)
+        pt = _load_rank_one(args.point)
     res = crosscheck_three_routes(pt)
     _emit(res, args.output)
     return 0 if res["agree"] else 1

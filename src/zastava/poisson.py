@@ -106,22 +106,33 @@ class BracketTable:
             return Fraction(-d[ia - 1], 2) * x(a) * x(b)
         raise AssertionError(f"unhandled pair {a}, {b}")
 
-    def bracket(self, f: MultiRat, g: MultiRat) -> MultiRat:
-        """{f, g} by the Leibniz expansion over coordinate pairs.
+    def gradient(self, f: MultiRat) -> dict[str, MultiRat]:
+        """The nonzero partials of f, as a {coordinate: partial} map."""
+        return {c: f.diff(c) for c in self.coordinates if f.depends_on(c)}
 
-        Ring variables beyond the coordinates (for example spectral
-        parameters) are treated as constants.
-        """
-        coords = [c for c in self.coordinates if f.depends_on(c) or g.depends_on(c)]
-        df = {c: f.diff(c) for c in coords}
-        dg = {c: g.diff(c) for c in coords}
-        total = self.ring.rat_const(0)
+    def pairing(self, df: Mapping[str, MultiRat], dg: Mapping[str, MultiRat]) -> MultiRat:
+        """The bivector on two differentials given as {coordinate: partial}
+        maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over the
+        coordinate pairs a, b in chart order."""
+        zero = self.ring.rat_const(0)
+        coords = [c for c in self.coordinates if c in df or c in dg]
+        total = zero
         for a, b in itertools.combinations(coords, 2):
             rule = self.coordinate_bracket(a, b)
             if rule.is_zero:
                 continue
-            total = total + rule * (df[a] * dg[b] - df[b] * dg[a])
+            total = total + rule * (
+                df.get(a, zero) * dg.get(b, zero) - df.get(b, zero) * dg.get(a, zero)
+            )
         return total
+
+    def bracket(self, f: MultiRat, g: MultiRat) -> MultiRat:
+        """{f, g}, the pairing of the two gradients.
+
+        Ring variables beyond the coordinates (for example spectral
+        parameters) are treated as constants.
+        """
+        return self.pairing(self.gradient(f), self.gradient(g))
 
 
 def jacobi_check(table: BracketTable, f: MultiRat, g: MultiRat, h: MultiRat) -> MultiRat:
@@ -248,79 +259,64 @@ def colored_R(table: BracketTable, i: int, param: str) -> MultiRat:
     return total
 
 
-def _kills_on_roots(table: BracketTable, expr: MultiRat, subs: Sequence[tuple[str, str]]) -> bool:
-    """True when expr vanishes under every listed parameter -> root map."""
-    cur = [expr]
-    for param, prefix in subs:
-        nxt = []
-        a = int(prefix)  # color index, 1-based
-        for e in cur:
-            for r in range(1, table.degrees[a - 1] + 1):
-                nxt.append(e.subs(param, table.var(f"w{a}_{r}")))
-        cur = nxt
-    return all(e.is_zero for e in cur)
-
-
 def verify_descent(datum: RootDatum, degrees: Sequence[int], kind: str) -> dict:
     """Symbolic verification that the coordinate brackets reproduce the
     generating-series brackets of the colored polynomials.
 
-    Four families, for spectral parameters z, u held constant:
-      QQ:  {Q_i(z), Q_j(u)} = 0,
-      QR:  {Q_i(z), R_j(u)} matches the stated right-hand side after
-           evaluating u at each root of Q_j,
-      RRx: for i != j, {R_i(z), R_j(u)} minus the pairing term vanishes
-           at every (root of Q_i, root of Q_j) pair,
-      RR0: {R_i(z), R_i(u)} = 0.
+    QQ:  {Q_i(z), Q_j(u)} = 0 for spectral parameters z, u held constant.
+    The other families are stated at the roots w_{i,p} of Q_i, where
+    R_i(w_{i,p}) = B_i y_{i,p} identically; by the chain rule the
+    differential of R_i(z) at z = w_{i,p} is
+      dR_{i,p} = y_{i,p} dB_i + B_i dy_{i,p} - R_i'(w_{i,p}) dw_{i,p}.
+    With K(x, y) = (x + y) / (2 (x - y)) (trigonometric) or 1 / (x - y):
+      QR:  {Q_i(z), R_j(w_{j,q})} = -delta_ij d_i K(z, w_{j,q}) Q_i(z) B_j y_{j,q},
+      RRx: for i != j, {dR_{i,p}, dR_{j,q}} = P_ij K(w_{i,p}, w_{j,q}) B_i y_{i,p} B_j y_{j,q},
+      RR0: {dR_{i,p}, dR_{i,q}} = 0.  This is {R_i(z), R_i(u)} = 0, as that
+           bracket has degree below a_i in z and in u and so vanishes
+           exactly when it vanishes on the a_i x a_i grid of roots.
     """
     table = BracketTable(datum, tuple(degrees), kind, extended=True, extra=("z", "u"))
-    R = table.ring
     n = datum.rank
     d = datum.d
     P = datum.pairing
-    z = R.rat_var("z")
-    u = R.rat_var("u")
-    two = R.rat_const(2)
+    z = table.var("z")
     Qz = [colored_Q(table, i, "z") for i in range(n)]
     Qu = [colored_Q(table, i, "u") for i in range(n)]
-    Rz = [colored_R(table, i, "z") for i in range(n)]
-    Ru = [colored_R(table, i, "u") for i in range(n)]
     checks: dict[str, bool] = {}
 
-    qq = all(
+    checks["QQ"] = all(
         table.bracket(Qz[i], Qu[j]).is_zero for i in range(n) for j in range(n)
     )
-    checks["QQ"] = qq
 
-    qr = True
+    def K(x: MultiRat, y: MultiRat) -> MultiRat:
+        return (x + y) / (2 * (x - y)) if kind == "trigonometric" else 1 / (x - y)
+
+    # per color, (w, R_i(w) = B_i y, dR_i) at each root w
+    roots = []
     for i in range(n):
-        for j in range(n):
-            lhs = table.bracket(Qz[i], Ru[j])
-            if i != j:
-                rhs = R.rat_const(0)
-            elif kind == "trigonometric":
-                rhs = R.rat_const(-d[i]) * (
-                    (z + u) / (two * (z - u)) * Qz[i] * Ru[j]
-                    - u / (z - u) * Rz[i] * Qu[j]
-                )
-            else:
-                rhs = R.rat_const(-d[i]) / (z - u) * (Qz[i] * Ru[j] - Rz[i] * Qu[j])
-            if not _kills_on_roots(table, lhs - rhs, [("u", str(j + 1))]):
-                qr = False
-    checks["QR"] = qr
+        c = i + 1
+        slope = colored_R(table, i, "z").diff("z")
+        B = table.var(f"B{c}")
+        at = []
+        for p in range(1, table.degrees[i] + 1):
+            w, y = table.var(f"w{c}_{p}"), table.var(f"y{c}_{p}")
+            dR = {f"w{c}_{p}": -slope.subs("z", w), f"y{c}_{p}": B, f"B{c}": y}
+            at.append((w, B * y, dR))
+        roots.append(at)
 
-    rrx = True
-    factor = lambda: (z + u) / (two * (z - u)) if kind == "trigonometric" else R.rat_const(1) / (z - u)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lhs = table.bracket(Rz[i], Ru[j])
-            rhs = R.rat_const(P[i][j]) * factor() * Rz[i] * Ru[j]
-            if not _kills_on_roots(table, lhs - rhs, [("z", str(i + 1)), ("u", str(j + 1))]):
-                rrx = False
-    checks["RRx"] = rrx
-
-    checks["RR0"] = all(table.bracket(Rz[i], Ru[i]).is_zero for i in range(n))
+    dQ = [table.gradient(q) for q in Qz]
+    checks["QR"] = all(
+        table.pairing(dQ[i], dR) == (-d[i] * K(z, w) * Qz[i] * R if i == j else 0)
+        for i in range(n) for j in range(n) for w, R, dR in roots[j]
+    )
+    checks["RRx"] = all(
+        table.pairing(dR1, dR2) == P[i][j] * K(w1, w2) * R1 * R2
+        for i, j in itertools.permutations(range(n), 2)
+        for w1, R1, dR1 in roots[i] for w2, R2, dR2 in roots[j]
+    )
+    checks["RR0"] = all(
+        table.pairing(dR1, dR2).is_zero
+        for at in roots for (_, _, dR1), (_, _, dR2) in itertools.combinations(at, 2)
+    )
 
     return {"ok": all(checks.values()), "kind": kind, "checks": checks}

@@ -137,6 +137,8 @@ _BRACKET_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("A2", (2, 1)),
     ("B2", (2, 1)),
     ("C3", (1, 1, 1)),
+    ("D4", (1, 1, 1, 1)),
+    ("D4", (2, 1, 1, 1)),
 )
 
 
@@ -168,6 +170,10 @@ _DESCENT_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("A2", (3, 2)),
     ("B2", (2, 1)),
     ("C3", (1, 1, 1)),
+    ("A1", (5,)),
+    ("A2", (3, 3)),
+    ("D4", (1, 1, 1, 1)),
+    ("D4", (2, 1, 1, 1)),
 )
 
 

@@ -138,6 +138,8 @@ _POINT_DOCS = {
     # a coefficient list given as a string or an object
     "string-coeffs": {"type": "A1", "Q": ["31"], "R": [["2"]]},
     "object-coeffs": {"type": "A1", "Q": [{"-1": 0, "1": 0}], "R": [[]]},
+    # a well-formed point of rank two, for the rank-one minor routes
+    "rank-two": {"type": "A2", "Q": [["-1", "1"], ["-2", "1"]], "R": [["3"], ["4"]]},
 }
 
 
@@ -160,11 +162,13 @@ _POINT_DOCS = {
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "descent"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "symplectic"],
     ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "0,0", "--check", "jacobi"],
+    ["minors", "--point", "rank-two.json"],
+    ["verify", "--profile", "sl2hank", "--point", "rank-two.json"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
         "sampler-bound", "no-trials", "negative-degree", "sampler-exhaustion",
         "zero-degree-jacobi", "zero-degree-descent", "zero-degree-symplectic",
-        "zero-degrees-a2"])
+        "zero-degrees-a2", "minors-rank-two", "verify-rank-two"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,8 @@ from zastava.linalg import ExactMatrix
 from zastava.poisson import (
     BracketTable,
     bivector_matrix,
+    colored_Q,
+    colored_R,
     jacobi_check,
     jacobi_report,
     symplectic_check_trig,
@@ -17,6 +20,7 @@ from zastava.rootdata import datum
 
 A1 = datum("A1")
 A2 = datum("A2")
+D4 = datum("D4")
 
 
 def test_table_validation():
@@ -210,33 +214,113 @@ def test_descent_a2():
         assert verify_descent(A2, (1, 1), kind)["ok"]
 
 
-def _scaled_bracket(monkeypatch, pair, scale):
+def _changed_bracket(monkeypatch, pair, change):
     """Patch BracketTable so that the coordinate bracket {pair} (and, by
-    antisymmetry, its reverse) is multiplied by scale."""
+    antisymmetry, its reverse) becomes change(its value)."""
     original = BracketTable.coordinate_bracket
 
     def patched(self, a, b, point=None):
         value = original(self, a, b, point)
-        return value * scale if (a, b) == pair else value
+        return change(value) if (a, b) == pair else value
 
     monkeypatch.setattr(BracketTable, "coordinate_bracket", patched)
 
 
+def _scaled_bracket(monkeypatch, pair, scale):
+    _changed_bracket(monkeypatch, pair, lambda value: value * scale)
+
+
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 def test_descent_negative_control_qr(monkeypatch, kind):
-    assert verify_descent(A1, (4,), kind)["ok"]
-    _scaled_bracket(monkeypatch, ("w1_2", "y1_2"), 2)
-    rep = verify_descent(A1, (4,), kind)
-    assert not rep["ok"] and not rep["checks"]["QR"]
+    configs = [(A1, (4,), ("w1_2", "y1_2")), (D4, (2, 1, 1, 1), ("w1_1", "y1_1"))]
+    for dat, degrees, pair in configs:
+        assert verify_descent(dat, degrees, kind)["ok"]
+        with monkeypatch.context() as m:
+            _scaled_bracket(m, pair, 2)
+            rep = verify_descent(dat, degrees, kind)
+        assert not rep["ok"] and not rep["checks"]["QR"], (dat.label, degrees)
 
 
-@pytest.mark.parametrize("dat, degrees", [(A2, (2, 2)), (datum("B2"), (2, 1))])
+@pytest.mark.parametrize("dat, degrees", [(A2, (2, 2)), (datum("B2"), (2, 1)), (D4, (2, 1, 1, 1))])
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 def test_descent_negative_control_rrx(monkeypatch, dat, degrees, kind):
     assert verify_descent(dat, degrees, kind)["ok"]
     _scaled_bracket(monkeypatch, ("y1_1", "y2_1"), F(3, 2))
     rep = verify_descent(dat, degrees, kind)
     assert not rep["ok"] and not rep["checks"]["RRx"]
+
+
+def test_descent_negative_control_rr0(monkeypatch):
+    assert verify_descent(A1, (3,), "trigonometric")["ok"]
+    _scaled_bracket(monkeypatch, ("y1_1", "B1"), 2)
+    rep = verify_descent(A1, (3,), "trigonometric")
+    assert not rep["ok"] and not rep["checks"]["RR0"]
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_a1_degree_6(kind):
+    assert verify_descent(A1, (6,), kind)["ok"]
+
+
+def _descent_by_substitution(dat, degrees, kind):
+    """The descent checks as brackets in the spectral parameters z, u:
+    each root of Q is substituted into the full residual of QR and RRx,
+    and {R_i(z), R_i(u)} must vanish identically."""
+    table = BracketTable(dat, degrees, kind, extended=True, extra=("z", "u"))
+    n, d, P = dat.rank, dat.d, dat.pairing
+    z, u = table.var("z"), table.var("u")
+    Qz = [colored_Q(table, i, "z") for i in range(n)]
+    Qu = [colored_Q(table, i, "u") for i in range(n)]
+    Rz = [colored_R(table, i, "z") for i in range(n)]
+    Ru = [colored_R(table, i, "u") for i in range(n)]
+    trig = kind == "trigonometric"
+    K = (z + u) / (2 * (z - u)) if trig else 1 / (z - u)
+
+    def vanishes_at_roots(expr, *params):  # params: (spectral parameter, color)
+        exprs = [expr]
+        for s, i in params:
+            exprs = [e.subs(s, table.var(f"w{i + 1}_{r}")) for e in exprs
+                     for r in range(1, degrees[i] + 1)]
+        return all(e.is_zero for e in exprs)
+
+    def qr_rhs(i, j):
+        if i != j:
+            return 0
+        if trig:
+            return -d[i] * (K * Qz[i] * Ru[j] - u / (z - u) * Rz[i] * Qu[j])
+        return -d[i] / (z - u) * (Qz[i] * Ru[j] - Rz[i] * Qu[j])
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return {
+        "QQ": all(table.bracket(Qz[i], Qu[j]).is_zero for i, j in pairs),
+        "QR": all(vanishes_at_roots(table.bracket(Qz[i], Ru[j]) - qr_rhs(i, j), ("u", j))
+                  for i, j in pairs),
+        "RRx": all(vanishes_at_roots(table.bracket(Rz[i], Ru[j]) - P[i][j] * K * Rz[i] * Ru[j],
+                                     ("z", i), ("u", j))
+                   for i, j in pairs if i != j),
+        "RR0": all(table.bracket(Rz[i], Ru[i]).is_zero for i in range(n)),
+    }
+
+
+@pytest.mark.parametrize("dat, degrees", [(A1, (3,)), (A2, (2, 1))])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_matches_substitution_route(monkeypatch, dat, degrees, kind):
+    """Unperturbed, and with each nonzero coordinate bracket scaled by 2 in
+    turn (a zero one scaled is the unperturbed case); then with the zero
+    bracket {w1_1, w1_2} raised to 1, which only the dw part of a root
+    differential sees."""
+    table = BracketTable(dat, degrees, kind, extended=True)
+    pairs = [(a, b) for a, b in itertools.combinations(table.coordinates, 2)
+             if not table.coordinate_bracket(a, b).is_zero]
+    for pair in [None, *pairs]:
+        with monkeypatch.context() as m:
+            if pair:
+                _scaled_bracket(m, pair, 2)
+            got = verify_descent(dat, degrees, kind)["checks"]
+            assert got == _descent_by_substitution(dat, degrees, kind), pair
+    _changed_bracket(monkeypatch, ("w1_1", "w1_2"), lambda value: value + 1)
+    got = verify_descent(dat, degrees, kind)["checks"]
+    assert got == _descent_by_substitution(dat, degrees, kind)
 
 
 def test_symplectic_check_reports_a_wrong_form(monkeypatch):
