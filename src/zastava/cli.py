@@ -253,6 +253,10 @@ def cmd_super(args) -> int:
 def cmd_bench(args) -> int:
     with _reading():
         sizes = _parse_sizes(args.sizes)
+        if not sizes or min(sizes) < 1:  # no instance below size 1; an empty list measures nothing
+            raise ValueError(f"--sizes must name sizes of at least 1, not {args.sizes!r}")
+        if args.repeats < 1:  # the median of no samples is undefined
+            raise ValueError(f"--repeats must be at least 1, not {args.repeats}")
         strategies = tuple(args.strategies.split(","))
         for s in strategies:
             if s not in bench_mod.STRATEGIES:

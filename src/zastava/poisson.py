@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .linalg import ExactMatrix
@@ -110,20 +111,26 @@ class BracketTable:
         """The nonzero partials of f, as a {coordinate: partial} map."""
         return {c: f.diff(c) for c in self.coordinates if f.depends_on(c)}
 
+    @cached_property
+    def rules(self) -> dict[tuple[str, str], MultiRat]:
+        """The nonzero {a, b} for a before b in chart order, formed once per
+        table by ``coordinate_bracket``: a patch of that method must be in
+        place before the table's first pairing."""
+        pairs = itertools.combinations(self.coordinates, 2)
+        return {p: r for p in pairs if not (r := self.coordinate_bracket(*p)).is_zero}
+
     def pairing(self, df: Mapping[str, MultiRat], dg: Mapping[str, MultiRat]) -> MultiRat:
         """The bivector on two differentials given as {coordinate: partial}
-        maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over the
-        coordinate pairs a, b in chart order."""
-        zero = self.ring.rat_const(0)
-        coords = [c for c in self.coordinates if c in df or c in dg]
-        total = zero
-        for a, b in itertools.combinations(coords, 2):
-            rule = self.coordinate_bracket(a, b)
-            if rule.is_zero:
-                continue
-            total = total + rule * (
-                df.get(a, zero) * dg.get(b, zero) - df.get(b, zero) * dg.get(a, zero)
-            )
+        maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over
+        ``rules`` (formed at the table's first pairing), skipping a rule
+        when neither product has both factors."""
+        total = zero = self.ring.rat_const(0)
+        for (a, b), rule in self.rules.items():
+            term = df[a] * dg[b] if a in df and b in dg else zero
+            if b in df and a in dg:
+                term = term - df[b] * dg[a]
+            if term is not zero:
+                total = total + rule * term
         return total
 
     def bracket(self, f: MultiRat, g: MultiRat) -> MultiRat:
@@ -145,13 +152,23 @@ def jacobi_check(table: BracketTable, f: MultiRat, g: MultiRat, h: MultiRat) -> 
 
 
 def jacobi_report(table: BracketTable) -> dict:
-    """Jacobi sums over every unordered triple of chart coordinates."""
+    """Jacobi sums over every unordered triple of chart coordinates, as the
+    Schouten sum of the bivector pi_ab = {x_a, x_b} = -pi_ba from ``rules``,
+    each entry differentiated once: {x_a, {x_b, x_c}} = sum_d pi_ad d_d pi_bc."""
+    zero = table.ring.rat_const(0)
+    pi, dpi = {}, {}
+    for (a, b), rule in table.rules.items():
+        grad = table.gradient(rule)
+        pi.setdefault(a, {})[b], dpi[a, b] = rule, grad
+        pi.setdefault(b, {})[a], dpi[b, a] = -rule, {d: -v for d, v in grad.items()}
+
+    def outer(a: str, b: str, c: str) -> MultiRat:  # {x_a, {x_b, x_c}}
+        grad = dpi.get((b, c), {})
+        return sum((p * grad[d] for d, p in pi.get(a, {}).items() if d in grad), zero)
+
     triples = list(itertools.combinations(table.coordinates, 3))
-    failures = []
-    for a, b, c in triples:
-        s = jacobi_check(table, table.var(a), table.var(b), table.var(c))
-        if not s.is_zero:
-            failures.append((a, b, c))
+    failures = [(a, b, c) for a, b, c in triples
+                if not (outer(a, b, c) + outer(b, c, a) + outer(c, a, b)).is_zero]
     return {"ok": not failures, "checked": len(triples), "failures": failures}
 
 

@@ -164,11 +164,17 @@ _POINT_DOCS = {
     ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "0,0", "--check", "jacobi"],
     ["minors", "--point", "rank-two.json"],
     ["verify", "--profile", "sl2hank", "--point", "rank-two.json"],
+    ["bench", "--family", "sylvester", "--sizes", "2", "--repeats", "0"],
+    ["bench", "--family", "sylvester", "--sizes", "2", "--repeats", "-3"],
+    ["bench", "--family", "sylvester", "--sizes", "0"],
+    ["bench", "--family", "hankel", "--sizes", "-1"],
+    ["bench", "--family", "hankel", "--sizes", "10..2"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
         "sampler-bound", "no-trials", "negative-degree", "sampler-exhaustion",
         "zero-degree-jacobi", "zero-degree-descent", "zero-degree-symplectic",
-        "zero-degrees-a2", "minors-rank-two", "verify-rank-two"])
+        "zero-degrees-a2", "minors-rank-two", "verify-rank-two", "bench-no-repeats",
+        "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():

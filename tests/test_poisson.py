@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from zastava.poisson import (
     verify_descent,
 )
 from zastava.rootdata import datum
+from zastava.verify import _BRACKET_CONFIGS
 
 A1 = datum("A1")
 A2 = datum("A2")
@@ -321,6 +323,58 @@ def test_descent_matches_substitution_route(monkeypatch, dat, degrees, kind):
     _changed_bracket(monkeypatch, ("w1_1", "w1_2"), lambda value: value + 1)
     got = verify_descent(dat, degrees, kind)["checks"]
     assert got == _descent_by_substitution(dat, degrees, kind)
+
+
+def _jacobi_by_cyclic_sums(table):
+    """The failing triples of the generic cyclic sum {f,{g,h}} + cyclic."""
+    v = table.var
+    return [(a, b, c) for a, b, c in itertools.combinations(table.coordinates, 3)
+            if not jacobi_check(table, v(a), v(b), v(c)).is_zero]
+
+
+@pytest.mark.parametrize("dat, degrees, extended", [(A1, (2,), False), (A2, (2, 1), False),
+                                                    (A2, (1, 1), True)])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_jacobi_report_matches_cyclic_sums(monkeypatch, dat, degrees, extended, kind):
+    """Unperturbed, and with each nonzero coordinate bracket changed by
+    + w1_1 in turn; each table is built after its patch."""
+    table = BracketTable(dat, degrees, kind, extended=extended)
+    pairs = [(a, b) for a, b in itertools.combinations(table.coordinates, 2)
+             if not table.coordinate_bracket(a, b).is_zero]
+    for pair in [None, *pairs]:
+        with monkeypatch.context() as m:
+            if pair:
+                _changed_bracket(m, pair, lambda value: value + value.ring.rat_var("w1_1"))
+            rep = jacobi_report(BracketTable(dat, degrees, kind, extended=extended))
+            reference = _jacobi_by_cyclic_sums(BracketTable(dat, degrees, kind, extended=extended))
+        assert rep["failures"] == reference and rep["ok"] == (not reference), pair
+        assert rep["checked"] == math.comb(len(table.coordinates), 3)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_jacobi_negative_control(monkeypatch, kind):
+    controls = [
+        (("y1_1", "y1_2"), lambda value: value + value.ring.rat_var("w1_1"),
+         [("w1_1", "y1_1", "y1_2"), ("w1_2", "y1_1", "y1_2"), ("y1_1", "y1_2", "y2_1")]),
+        (("w1_1", "y1_1"), lambda value: value * value, [("w1_1", "y1_1", "y2_1")]),
+        # not a control: a constant rescale of P_12 is still a Poisson bracket
+        (("y1_1", "y2_1"), lambda value: value * 2, []),
+    ]
+    assert jacobi_report(BracketTable(A2, (2, 1), kind))["ok"]
+    for pair, change, failures in controls:
+        with monkeypatch.context() as m:
+            _changed_bracket(m, pair, change)
+            rep = jacobi_report(BracketTable(A2, (2, 1), kind))
+        assert rep == {"ok": not failures, "checked": 20, "failures": failures}, pair
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_jacobi_extended_charts_and_a2_degree_4(kind):
+    tables = [BracketTable(datum(label), degrees, kind, extended=True)
+              for label, degrees in _BRACKET_CONFIGS]
+    for table in [*tables, BracketTable(A2, (4, 4), kind)]:
+        rep = jacobi_report(table)
+        assert rep["ok"] and rep["checked"] == math.comb(len(table.coordinates), 3), table.degrees
 
 
 def test_symplectic_check_reports_a_wrong_form(monkeypatch):
