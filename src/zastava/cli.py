@@ -102,6 +102,13 @@ def _seed_from(args) -> int:
     return args.rng
 
 
+# largest matrix `bench` runs the memoized cofactor strategy on: with
+# --repeats 1 (Python 3.11, 2 vCPUs), 13 x 13 (hankel 13, sylvester 7) took
+# 0.5 s and 21 MB peak, 15 x 15 (sylvester 8) 2.2 s and 31 MB; each added
+# dimension about doubles the time
+_COFACTOR_MAX_DIM = 13
+
+
 def _parse_sizes(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
@@ -212,7 +219,7 @@ def cmd_cluster(args) -> int:
     if args.check == "log-canonical":
         table = BracketTable(datum("A1"), (args.a,), "trigonometric")
         rng = random.Random(_seed_from(args))
-        with _reading():  # the chart sampler runs out of points for large a
+        with _reading():  # a degree sum past the sampler's values, or a seed no point suits
             res = log_canonicity_check(current, table, trials=args.trials or 5, rng=rng)
         trace["log_canonical"] = {
             "ok": res["ok"],
@@ -264,6 +271,13 @@ def cmd_bench(args) -> int:
                     f"unknown determinant strategy {s!r}; "
                     f"choose from {', '.join(bench_mod.STRATEGIES)}"
                 )
+        # a sylvester matrix of size a is (2a-1) x (2a-1)
+        top = 2 * max(sizes) - 1 if args.family == "sylvester" else max(sizes)
+        if "cofactor" in strategies and top > _COFACTOR_MAX_DIM:
+            raise ValueError(
+                f"the cofactor strategy runs on at most {_COFACTOR_MAX_DIM} x "
+                f"{_COFACTOR_MAX_DIM} matrices; {args.family} size {max(sizes)} is {top} x {top}"
+            )
     pre = bench_mod.preflight(seed=_seed_from(args))
     if not pre["ok"]:
         sys.stderr.write(f"preflight failed: {json.dumps(_jsonable(pre))}\n")

@@ -135,6 +135,9 @@ class Seed:
     evaluator, each variable is evaluated at the coordinate jets.
     """
 
+    # set by ``mutate``: the seed mutated from and the exchanges made since
+    _origin: Optional[tuple["Seed", tuple]] = None
+
     def __init__(self, labels: Sequence[str],
                  variables: Sequence[MultiRat] | Callable[[], Sequence[MultiRat]],
                  matrix: ExchangeMatrix,
@@ -189,31 +192,30 @@ def mutate(seed: Seed, k: int) -> Seed:
     """Mutate at exchangeable position k: new matrix by the standard rule,
     x_k replaced by the exchange binomial divided by x_k.  The rule is
     applied to jets at a point, or to the symbolic variables when those are
-    read."""
+    read, in one loop over the exchanges made since the unmutated seed."""
     if k not in seed.matrix.columns:
         raise ValueError(f"position {k} is frozen; mutation undefined")
     kc = seed.matrix.columns.index(k)
-    column = [row[kc] for row in seed.matrix.data]
+    start, steps = seed._origin or (seed, ())
+    steps += ((k, [row[kc] for row in seed.matrix.data]),)
 
-    def exchange(xs):
-        plus = minus = 1
-        for x, b in zip(xs, column):
-            if b > 0:
-                plus = plus * x**b
-            elif b < 0:
-                minus = minus * x ** (-b)
-        out = list(xs)
-        out[k - 1] = (plus + minus) / xs[k - 1]
-        return tuple(out)
+    def replay(xs):
+        for p, column in steps:
+            plus = minus = 1
+            for x, b in zip(xs, column):
+                if b > 0:
+                    plus = plus * x**b
+                elif b < 0:
+                    minus = minus * x ** (-b)
+            xs = (*xs[:p - 1], (plus + minus) / xs[p - 1], *xs[p:])
+        return xs
 
     labels = list(seed.labels)
     labels[k - 1] = f"mu_{k}({seed.labels[k - 1]})"
-    return Seed(
-        labels,
-        lambda: exchange(seed.variables),
-        seed.matrix.mutate(k),
-        jets=lambda point, coords: exchange(seed.jets(point, coords)),
-    )
+    out = Seed(labels, lambda: replay(start.variables), seed.matrix.mutate(k),
+               jets=lambda point, coords: replay(start.jets(point, coords)))
+    out._origin = start, steps
+    return out
 
 
 # -- rank-one initial seed ---------------------------------------------------
@@ -283,38 +285,29 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
 # -- log-canonicity ----------------------------------------------------------
 
 
-# p/q with p in [-9, 9] and q in [1, 4] takes this many distinct nonzero values
-_CHART_VALUES = 50
+# every distinct nonzero p/q with |p| <= 9, 1 <= q <= 4; sorted, so draws ignore the hash seed
+_CHART_VALUES = tuple(sorted({Fraction(p, q) for p in range(-9, 10) for q in range(1, 5)} - {0}))
+_MAX_REJECTED = 1000  # sample points a log-canonicity check may reject
 
 
 def sample_chart_point(degrees: Sequence[int], rng: random.Random) -> dict[str, Fraction]:
-    """Random admissible chart assignment over a degree vector.
-
-    Color by color, all w_{i,r} and then all y_{i,r} are drawn as p/q with
-    p in [-9, 9] and q in [1, 4]; a draw with a zero value or a w repeated
-    across any colors is rejected.  The keys come in the order of
-    ``BracketTable.coordinates``.  Raises ValueError when the degrees sum
-    to more than the distinct nonzero w values, before anything is drawn,
-    or after 1000 rejected draws.  The practical limit is a degree sum of
-    about 16: the 1000 draws ran out for 2 of 20 seeds at a sum of 17, for
-    5 at 18 and for 16 at 20, and for none of 20 at 16 or below.
-    """
+    """Random admissible chart assignment over a degree vector: all w_{i,r}
+    at once from ``_CHART_VALUES`` without replacement (so distinct and
+    nonzero), then each y_{i,r} from the same table, keyed in the order of
+    ``BracketTable.coordinates`` (per color, its w and then its y).  A
+    degree sum above the table size raises ValueError before any draw."""
     total = sum(degrees)
-    if total > _CHART_VALUES:
-        raise ValueError(
-            f"degrees {tuple(degrees)} need {total} distinct w, above the "
-            f"{_CHART_VALUES} nonzero values the sampler draws"
-        )
-    for _ in range(1000):
-        out = {}
-        for i, a in enumerate(degrees, start=1):
-            for name in ("w", "y"):
-                for r in range(1, a + 1):
-                    out[f"{name}{i}_{r}"] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        ws = {v for k, v in out.items() if k[0] == "w"}
-        if 0 not in out.values() and len(ws) == total:
-            return out
-    raise ValueError(f"no admissible chart point for degrees {tuple(degrees)} in 1000 draws")
+    if total > len(_CHART_VALUES):
+        raise ValueError(f"degrees {tuple(degrees)} need {total} distinct w, above the "
+                         f"{len(_CHART_VALUES)} nonzero values the sampler draws")
+    ws = iter(rng.sample(_CHART_VALUES, total))
+    out = {}
+    for i, a in enumerate(degrees, start=1):
+        for r in range(1, a + 1):
+            out[f"w{i}_{r}"] = next(ws)
+        for r in range(1, a + 1):
+            out[f"y{i}_{r}"] = rng.choice(_CHART_VALUES)
+    return out
 
 
 def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: Optional[random.Random] = None) -> dict:
@@ -324,8 +317,9 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     value and gradient over ``table.coordinates``, see ``Seed.jets``); the
     bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi(p) the coordinate
     brackets at the point, of which only the nonzero ones are used.  A
-    point is rejected when a variable is zero or undefined there.  PASS
-    iff every pair's value set is a singleton.
+    point is rejected when a variable is zero or undefined there, and
+    _MAX_REJECTED rejections raise ValueError naming the variables that
+    vanished.  PASS iff every pair's value set is a singleton.
     """
     if rng is None:
         rng = random.Random(0)
@@ -333,14 +327,20 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     coord_pairs = list(itertools.combinations(enumerate(coords), 2))
     index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
     values: list[list[Fraction]] = [[] for _ in index_pairs]
-    accepted = 0
+    accepted = drawn = 0
+    vanished: set[str] = set()
     while accepted < trials:
+        if drawn - accepted == _MAX_REJECTED:
+            raise ValueError(f"{_MAX_REJECTED} sample points rejected, {accepted} of {trials} "
+                             f"accepted; vanished: {sorted(vanished, key=seed.labels.index)}")
         pt = sample_chart_point(table.degrees, rng)
+        drawn += 1
         try:
             jets = seed.jets(pt, coords)
         except ZeroDivisionError:
             continue
-        if any(x.value == 0 for x in jets):
+        if zero := {s for s, x in zip(seed.labels, jets) if x.value == 0}:
+            vanished |= zero
             continue
         accepted += 1
         pis = [(iu, iv, pi) for (iu, u), (iv, v) in coord_pairs

@@ -19,12 +19,10 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .cluster import initial_seed_sl2, log_canonicity_check, sample_chart_point
-from .linalg import hankel_minor_C, hankel_minor_D, subresultant_even, subresultant_odd
 from .minors import crosscheck_three_routes
 from .points import ZastavaPoint, from_coords
 from .poisson import BracketTable, jacobi_report, symplectic_check_trig, verify_descent
 from .rootdata import datum
-from .series import series_expand
 from .superpotential import SuperData, verify_gw_w
 from .unipoly import UniPoly
 
@@ -98,36 +96,11 @@ def _three_routes_at_sample(pt: ZastavaPoint) -> tuple[bool, object]:
 
 
 def profile_sl2hank(trials: int = 25, points: Sequence[ZastavaPoint] = ()):
-    for a in (1, 2, 3, 4):
+    for a in (1, 2, 3, 4, 5):
         yield (f"three-route-a{a}-x{trials}",
                Sampled(trials, partial(random_sl2_point, a), _three_routes_at_sample))
     for k, pt in enumerate(points):
         yield f"three-route-point-{k}", lambda rng, pt=pt: _three_routes(pt)
-
-
-def _kronecker(pt: ZastavaPoint) -> tuple[bool, object]:
-    """Sub-resultant minors against Hankel minors at one point: odd index
-    i equals C_{a-i}, even index i equals D_{a-i-1}."""
-    Q, R = pt.Q[0], pt.R[0]
-    a = Q.degree
-    c = series_expand(R, Q, 2 * a + 1)
-    families = (
-        ("odd", subresultant_odd, hankel_minor_C, 0),
-        ("even", subresultant_even, hankel_minor_D, 1),
-    )
-    for kind, subresultant, minor, shift in families:
-        for i in range(a - shift):
-            lhs = subresultant(Q, R, i)
-            ref = minor(c, a - i - shift)
-            if lhs != ref:
-                return False, {"kind": kind, "a": a, "i": i, "lhs": str(lhs),
-                               "ref": str(ref), "point": pt.to_json()}
-    return True, None
-
-
-def profile_kronecker(trials: int = 20):
-    for a in range(1, 6):
-        yield f"kronecker-a{a}-x{trials}", Sampled(trials, partial(random_sl2_point, a), _kronecker)
 
 
 _BRACKET_CONFIGS: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -216,7 +189,6 @@ def profile_logcanon(trials: int = 5):
 
 _PROFILES = {
     "sl2hank": profile_sl2hank,
-    "kronecker": profile_kronecker,
     "jacobi": profile_jacobi,
     "descent": profile_descent,
     "symplectic": profile_symplectic,

@@ -157,7 +157,7 @@ _POINT_DOCS = {
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "51", "--check", "symplectic"],
     ["verify", "--profile", "sl2hank", "--trials", "-1"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "-1", "--check", "jacobi"],
-    ["cluster", "--a", "20", "--check", "log-canonical", "--trials", "1"],
+    ["cluster", "--a", "51", "--check", "log-canonical"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "jacobi"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "descent"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "0", "--check", "symplectic"],
@@ -169,12 +169,15 @@ _POINT_DOCS = {
     ["bench", "--family", "sylvester", "--sizes", "0"],
     ["bench", "--family", "hankel", "--sizes", "-1"],
     ["bench", "--family", "hankel", "--sizes", "10..2"],
+    ["bench", "--family", "sylvester", "--sizes", "8"],
+    ["bench", "--family", "hankel", "--sizes", "2..14", "--strategies", "bareiss,cofactor"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
-        "sampler-bound", "no-trials", "negative-degree", "sampler-exhaustion",
+        "sampler-bound", "no-trials", "negative-degree", "logcanon-sampler-bound",
         "zero-degree-jacobi", "zero-degree-descent", "zero-degree-symplectic",
         "zero-degrees-a2", "minors-rank-two", "verify-rank-two", "bench-no-repeats",
-        "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes"])
+        "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes",
+        "bench-cofactor-sylvester-8", "bench-cofactor-hankel-14"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
@@ -227,6 +230,29 @@ def test_cluster_command(tmp_path, capsys):
          "--trials", "3"], capsys
     )
     assert code == 1 and not json.loads(out)["log_canonical"]["ok"]
+
+
+def test_cluster_long_mutation_sequence(tmp_path, capsys):
+    # 600 alternating mutations are evaluated at the point without a RecursionError
+    pfile = str(tmp_path / "pt.json")
+    main(["point", "--w", "1,3", "--y", "2,4", "--out", pfile])
+    capsys.readouterr()
+    code, out = _run(["cluster", "--a", "2", "--point", pfile,
+                      "--mutations", ",".join(["1", "2"] * 300)], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["mutations"]) == 600
+    assert all(v != "0" for v in data["values_at_point"].values())
+
+
+def test_bench_cofactor_bound_allows_criterion_sizes(capsys):
+    # the cap is on the cofactor matrix: other strategies run past it, and
+    # hankel 2..10 (acceptance criterion 12) stays allowed
+    code, out = _run(["bench", "--family", "hankel", "--sizes", "2..10", "--repeats", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 9 * 3
+    code, _ = _run(["bench", "--family", "sylvester", "--sizes", "8", "--repeats", "1",
+                    "--strategies", "bareiss"], capsys)
+    assert code == 0
 
 
 def test_cluster_log_canonical_beyond_symbolic_cap(capsys):

@@ -184,6 +184,34 @@ def test_log_canonicity_negative_control():
     assert any(not p["constant"] for p in rep["pairs"])
 
 
+def test_log_canonicity_check_gives_up_on_a_seed_no_point_suits():
+    seed = initial_seed_sl2(None, 2)
+    v = seed.variables[0]
+    vanishing = Seed(seed.labels, (v - v,) + seed.variables[1:], seed.matrix)
+    table = BracketTable(A1, (2,), "trigonometric")
+    with pytest.raises(ValueError, match=r"1000 sample points rejected, 0 of 2 .*'D_1'"):
+        log_canonicity_check(vanishing, table, trials=2, rng=random.Random(0))
+
+
+def test_long_mutation_sequence_obeys_its_exchange_relation():
+    """600 alternating mutations evaluate at a point without nesting a call
+    per step; the last one is the exchange rule applied to the one before."""
+    seeds = [initial_seed_sl2(None, 2)]
+    for i in range(600):
+        seeds.append(mutate(seeds[-1], 1 + i % 2))
+    before, after = seeds[-2:]
+    pt = sample_chart_point((2,), random.Random(0))
+    x = [j.value for j in before.jets(pt, ())]
+    y = [j.value for j in after.jets(pt, ())]
+    column = [row[before.matrix.columns.index(2)] for row in before.matrix.data]
+    plus = minus = 1
+    for v, b in zip(x, column):
+        plus, minus = plus * v ** max(b, 0), minus * v ** max(-b, 0)
+    assert y[1] * x[1] == plus + minus
+    assert y[:1] + y[2:] == x[:1] + x[2:]
+    assert len(after.jets(pt, ("w1_1",))[1].grad) == 1
+
+
 def test_exchange_matrix_validation():
     with pytest.raises(ValueError):
         ExchangeMatrix(2, (1,), ((0,),))
@@ -269,10 +297,20 @@ def test_initial_seed_matrix_is_the_affine_a1_one():
     assert initial_seed_sl2(None, 3).matrix == exchange_matrix((0, 1) * 3, SL2_HAT)
 
 
-@pytest.mark.parametrize("label, degs", [("A2", (2, 1)), ("B2", (2, 1)), ("A2", (5, 5))])
+def test_chart_values_are_a_sorted_table():
+    # a sorted tuple, not a set: the draws do not depend on the hash seed
+    values = cluster._CHART_VALUES
+    assert isinstance(values, tuple) and len(values) == 50
+    assert list(values) == sorted(set(values)) and 0 not in values
+    assert {v.denominator for v in values} == {1, 2, 3, 4}
+    assert max(abs(v.numerator) for v in values) == 9
+
+
+@pytest.mark.parametrize("label, degs", [("A2", (2, 1)), ("B2", (2, 1)), ("A2", (5, 5)),
+                                         ("A1", (50,)), ("A2", (25, 25))])
 def test_sample_chart_point_over_a_degree_vector(label, degs):
     """Keys in the order of the table's coordinates, nonzero values, and w
-    distinct across all colors."""
+    distinct across all colors, up to a degree sum of 50 (every value)."""
     table = BracketTable(datum(label), degs, "trigonometric")
     rng = random.Random(5)
     for _ in range(20):
@@ -283,16 +321,28 @@ def test_sample_chart_point_over_a_degree_vector(label, degs):
         assert len(set(ws)) == len(ws) == sum(degs)
 
 
-def test_log_canonicity_two_colors_a2():
-    """At A2 (1,1) {log y1_1, log y2_1} varies from point to point, while
-    {log y1_1, log(y2_1 / (w1_1 - w2_1))} is the constant 1/2."""
+def test_log_canonicity_two_colors_a2(monkeypatch):
+    """At A2 (1,1) {log y1_1, log y2_1} is -(w1_1 + w2_1) / (2 (w1_1 - w2_1))
+    at each point, so it varies, while {log y1_1, log(y2_1 / (w1_1 - w2_1))}
+    is the constant 1/2."""
     table = BracketTable(datum("A2"), (1, 1), "trigonometric")
     y1, y2 = table.var("y1_1"), table.var("y2_1")
     quotient = y2 / (table.var("w1_1") - table.var("w2_1"))
     seed = Seed(("y1_1", "y2_1", "q"), (y1, y2, quotient), ExchangeMatrix(3, (), ((),) * 3))
+    drawn = []
+
+    def spy(*args, _sample=sample_chart_point):
+        drawn.append(_sample(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(cluster, "sample_chart_point", spy)
     rep = log_canonicity_check(seed, table, trials=3, rng=random.Random(0))
     values = {p["pair"]: p["values"] for p in rep["pairs"]}
-    assert values[("y1_1", "y2_1")] == [F(5, 4), F(-13, 22), F(1, 82)]
+    assert len(drawn) == 3
+    assert values[("y1_1", "y2_1")] == [
+        -(pt["w1_1"] + pt["w2_1"]) / (2 * (pt["w1_1"] - pt["w2_1"])) for pt in drawn
+    ]
+    assert len(set(values[("y1_1", "y2_1")])) == 3
     assert values[("y1_1", "q")] == [F(1, 2)] * 3
     assert not rep["ok"]
 

@@ -92,21 +92,6 @@ def test_sl2hank_point_file_witness(tmp_path, monkeypatch, capsys):
     }
 
 
-def test_kronecker_witness_is_the_failing_point(monkeypatch):
-    points = _count_draws(monkeypatch, "random_sl2_point")
-    real = verify.subresultant_odd
-    # at a = 1 each point makes one odd sub-resultant call, at index 0
-    calls = _fail_on_second_call(monkeypatch, "subresultant_odd",
-                                 lambda Q, R, i: real(Q, R, i) + 7)
-    checks = _checks(run_profile("kronecker", 0, trials=2))
-    Q, R = points[1].Q[0], points[1].R[0]
-    assert calls[1] == (Q, R, 0)
-    ref = verify.hankel_minor_C(verify.series_expand(R, Q, 3), 1)
-    witness = {"kind": "odd", "a": 1, "i": 0, "lhs": str(ref + 7), "ref": str(ref),
-               "point": points[1].to_json()}
-    _only_first_fails(checks, "kronecker-a1-x2", witness, points, 2)
-
-
 def test_symplectic_witness_is_the_failing_point(monkeypatch):
     points = _count_draws(monkeypatch, "sample_chart_point")
     calls = _fail_on_second_call(monkeypatch, "symplectic_check_trig",
