@@ -54,7 +54,16 @@ def _jsonable(obj):
 
 
 def _emit(data, path: str | None) -> None:
-    text = json.dumps(_jsonable(data), indent=2) + "\n"
+    # an exact value may have more digits than int -> str converts by
+    # default (4300); the size caps on the input bound them instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(_jsonable(data), indent=2) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -118,6 +127,17 @@ def _parse_sizes(text: str) -> list[int]:
 
 # -- subcommands --------------------------------------------------------------
 
+
+# longest --mutations list `cluster` takes.  At --a 2, alternating 1,2
+# (Python 3.11, 2 vCPUs), 1000 mutations took 4.7 s with --check
+# log-canonical --trials 1 (2000: 26 s), and 0.35 s with --point at w = 1,3,
+# y = 2,4 (11 s at w = 1/7,3, y = 1000003,-999); each exchange adds bits to
+# the values, so the cost grows faster than the length and with the point
+_MAX_MUTATIONS = 1000
+# largest --a that `cluster --check log-canonical` takes (Python 3.11, 2
+# vCPUs): one trial took 12.7 s and 22 MB at a = 24 (1.0 s at a = 16, 3.6 s
+# at a = 20)
+_LOGCANON_MAX_A = 24
 
 # poisson checks that take --trials
 _TRIALS_CHECKS = ("symplectic",)
@@ -198,6 +218,13 @@ def cmd_poisson(args) -> int:
 
 def cmd_cluster(args) -> int:
     with _reading():
+        steps = [int(t) for t in args.mutations.split(",")] if args.mutations else []
+        if len(steps) > _MAX_MUTATIONS:
+            raise ValueError(f"--mutations lists {len(steps)} positions, above the "
+                             f"{_MAX_MUTATIONS} that cluster takes")
+        if args.check == "log-canonical" and args.a > _LOGCANON_MAX_A:
+            raise ValueError(f"--check log-canonical takes --a up to {_LOGCANON_MAX_A}, "
+                             f"not {args.a}")
         pt = recover_coords(ZastavaPoint.load(args.point)) if args.point else None
         seed = initial_seed_sl2(pt, args.a)
         trace = {
@@ -209,12 +236,11 @@ def cmd_cluster(args) -> int:
             "mutations": [],
         }
         current = seed
-        if args.mutations:
-            for k in (int(t) for t in args.mutations.split(",")):
-                current = mutate(current, k)
-                trace["mutations"].append(
-                    {"at": k, "matrix": [list(row) for row in current.matrix.data]}
-                )
+        for k in steps:
+            current = mutate(current, k)
+            trace["mutations"].append(
+                {"at": k, "matrix": [list(row) for row in current.matrix.data]}
+            )
     ok = True
     if args.check == "log-canonical":
         table = BracketTable(datum("A1"), (args.a,), "trigonometric")

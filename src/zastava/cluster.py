@@ -14,9 +14,11 @@ symbolic chart functions are built only on request.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .jet import Jet, det_jet
@@ -316,15 +318,20 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     At each accepted point every variable is taken once as a jet (exact
     value and gradient over ``table.coordinates``, see ``Seed.jets``); the
     bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi(p) the coordinate
-    brackets at the point, of which only the nonzero ones are used.  A
-    point is rejected when a variable is zero or undefined there, and
+    brackets at the point, of which only the nonzero ones are used.  A jet
+    is integers N = ``x.nums`` over one denominator D (``zastava.jet``), so
+    grad(x) = N[1:]/D and x = N_0/D, and D cancels between the bracket and
+    the product: {x, x'}/(x x') = (N[1:]^T Pi N'[1:]) / (N_0 N'_0).  Pi(p)
+    is lifted to integers over the lcm L of its denominators once per
+    point, so each pair costs integer products and one Fraction.  A point
+    is rejected when a variable is zero or undefined there, and
     _MAX_REJECTED rejections raise ValueError naming the variables that
     vanished.  PASS iff every pair's value set is a singleton.
     """
     if rng is None:
         rng = random.Random(0)
     coords = table.coordinates
-    coord_pairs = list(itertools.combinations(enumerate(coords), 2))
+    coord_pairs = list(itertools.combinations(enumerate(coords, start=1), 2))
     index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
     values: list[list[Fraction]] = [[] for _ in index_pairs]
     accepted = drawn = 0
@@ -339,23 +346,25 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
             jets = seed.jets(pt, coords)
         except ZeroDivisionError:
             continue
-        if zero := {s for s, x in zip(seed.labels, jets) if x.value == 0}:
+        if zero := {s for s, x in zip(seed.labels, jets) if x.nums[0] == 0}:
             vanished |= zero
             continue
         accepted += 1
         pis = [(iu, iv, pi) for (iu, u), (iv, v) in coord_pairs
                if (pi := table.coordinate_bracket(u, v, pt))]
-        # h = Pi^T grad(x), so that {x, x'} = h . grad(x')
+        lift = lcm(*(pi.denominator for _, _, pi in pis))
+        pis = [(iu, iv, pi.numerator * (lift // pi.denominator)) for iu, iv, pi in pis]
+        # h = L Pi^T N, indexed like N (entry 0 stays 0), so that L N^T Pi N' = h . N'
         hs = []
         for x in jets:
-            h = [Fraction(0)] * len(coords)
+            h = [0] * (len(coords) + 1)
             for iu, iv, pi in pis:
-                h[iv] += pi * x.grad[iu]
-                h[iu] -= pi * x.grad[iv]
+                h[iv] += pi * x.nums[iu]
+                h[iu] -= pi * x.nums[iv]
             hs.append(h)
         for vals, (i, j) in zip(values, index_pairs):
-            br = sum(p * q for p, q in zip(hs[i], jets[j].grad))
-            vals.append(br / (jets[i].value * jets[j].value))
+            br = sum(map(operator.mul, hs[i], jets[j].nums), 0)
+            vals.append(Fraction(br, lift * jets[i].nums[0] * jets[j].nums[0]))
     pairs = []
     ok = True
     for vals, (i, j) in zip(values, index_pairs):

@@ -1,93 +1,188 @@
 """Forward-mode exact jets: a value together with its exact gradient.
 
 A jet holds f(p) and (df/dx_1(p), ..., df/dx_n(p)) for one ordered list of
-coordinates x_1..x_n, all as Fractions.  Arithmetic on jets applies the
-chain rule operation by operation (forward mode; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 3), so a function built from +, -,
-*, / and integer powers is differentiated exactly at a point without its
-formula ever being formed.  Checks that only need values and first
-derivatives at sample points use jets instead of symbolic ``MultiRat``s;
-a given ``MultiRat`` is taken to a jet by evaluating it at coordinate jets
-(``MultiRat.evaluate``).
+coordinates x_1..x_n.  Arithmetic on jets applies the chain rule operation
+by operation (forward mode; Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., ch. 3), so a function built from +, -, *, / and integer powers is
+differentiated exactly at a point without its formula ever being formed.
+Checks that only need values and first derivatives at sample points use
+jets instead of symbolic ``MultiRat``s; a given ``MultiRat`` is taken to a
+jet by evaluating it at coordinate jets (``MultiRat.evaluate``).
+
+Representation: the n + 1 entries are integers over one shared
+denominator, ``nums = (N_0, N_1, ..., N_n)`` and ``den``, so that
+f(p) = N_0 / den and df/dx_i(p) = N_i / den.  The invariant is lowest
+terms, ``den > 0`` and ``gcd(den, *nums) == 1``, so equal jets have equal
+``(nums, den)``.  Each operation computes on the integers and reduces once
+per result, with Knuth's gcd economy (TAOCP vol. 2, 4.5.1): a sum takes the
+gcd of the two denominators first and then the gcd of the numerators with
+that small factor only; a product, quotient or power first bounds the
+factor its result loses by gcds across the operands (a value numerator
+against the other denominator), so that no gcd runs on two numbers as long
+as the result's.  ``nums`` and ``den`` are public: ``cluster`` forms
+brackets on the numerators, where the denominators cancel.  ``value`` and
+``grad`` read the entries as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, det
 
-_ZERO = Fraction(0)
+
+def _jet(nums: tuple[int, ...], den: int) -> "Jet":
+    """A jet from entries already in lowest terms."""
+    j = Jet.__new__(Jet)
+    j.nums, j.den = nums, den
+    return j
+
+
+def _cancel(nums: list[int], den: int, bound: int) -> "Jet":
+    """A jet from integers over a positive den, divided by their common
+    factor, which is known to divide ``bound``; the gcd starts from the
+    bound, which is built from the operands alone."""
+    if bound != 1:
+        g = gcd(bound, den, *nums)
+        if g != 1:
+            return _jet(tuple([x // g for x in nums]), den // g)
+    return _jet(tuple(nums), den)
+
+
+def _sum(A: Sequence[int], b: int, C: Sequence[int], d: int) -> "Jet":
+    """A/b + C/d for numerator vectors in lowest terms over b and d."""
+    g = gcd(b, d)
+    b, d = b // g, d // g
+    # over b d g a factor common to every entry divides g: a prime of b/g
+    # (prime to d/g) dividing every x d + y b would divide every x
+    return _cancel([x * d + y * b for x, y in zip(A, C)], b * d * g, g)
 
 
 class Jet:
-    """Exact value and gradient of a function at one point."""
+    """Exact value and gradient of a function at one point, as integers
+    ``nums`` over one positive denominator ``den`` in lowest terms."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, value: Fraction, grad: tuple[Fraction, ...]):
-        self.value = value
-        self.grad = grad
+    def __init__(self, value: Fraction | int, grad: Sequence[Fraction | int]):
+        entries = [Fraction(value), *map(Fraction, grad)]
+        den = lcm(*(e.denominator for e in entries))
+        # over the lcm of lowest-terms denominators the entries are in lowest terms
+        self.nums = tuple(e.numerator * (den // e.denominator) for e in entries)
+        self.den = den
 
     @staticmethod
     def constant(c: Fraction | int, n: int) -> "Jet":
-        return Jet(Fraction(c), (_ZERO,) * n)
+        c = Fraction(c)
+        return _jet((c.numerator,) + (0,) * n, c.denominator)
 
     @staticmethod
     def coordinate(name: str, point: Mapping[str, Fraction], coords: Sequence[str]) -> "Jet":
         """The coordinate function ``name`` at ``point``; its gradient is the
         unit vector of ``name`` in ``coords`` (zero when it is not listed)."""
-        grad = [_ZERO] * len(coords)
+        c = Fraction(point[name])
+        nums = [c.numerator] + [0] * len(coords)
         if name in coords:
-            grad[coords.index(name)] = Fraction(1)
-        return Jet(Fraction(point[name]), tuple(grad))
+            nums[1 + coords.index(name)] = c.denominator
+        return _jet(tuple(nums), c.denominator)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def grad(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums[1:])
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Jet | Fraction | int") -> "Jet":
         if isinstance(other, Jet):
-            return Jet(self.value + other.value, tuple(a + b for a, b in zip(self.grad, other.grad)))
-        return Jet(self.value + other, self.grad)
+            return _sum(self.nums, self.den, other.nums, other.den)
+        n = len(self.nums) - 1
+        return _sum(self.nums, self.den, (other.numerator,) + (0,) * n, other.denominator)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(-self.value, tuple(-a for a in self.grad))
+        return _jet(tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other: "Jet | Fraction | int") -> "Jet":
+        if isinstance(other, Jet):
+            return _sum(self.nums, self.den, [-x for x in other.nums], other.den)
         return self + (-other)
 
     def __rsub__(self, other: Fraction | int) -> "Jet":
         return (-self) + other
 
     def __mul__(self, other: "Jet | Fraction | int") -> "Jet":
-        if isinstance(other, Jet):
-            u, v = self.value, other.value
-            return Jet(u * v, tuple(u * b + v * a for a, b in zip(self.grad, other.grad)))
-        return Jet(self.value * other, tuple(a * other for a in self.grad))
+        A, b = self.nums, self.den
+        if not isinstance(other, Jet):
+            if other == 1:
+                return self
+            p, q = other.numerator, other.denominator
+            # p/q and A/b are in lowest terms, so after cancelling across
+            # the product is too
+            g1, g2 = gcd(p, b), gcd(q, *A)
+            if g1 != 1:
+                p, b = p // g1, b // g1
+            if g2 != 1:
+                A, q = [x // g2 for x in A], q // g2
+            return _jet(tuple([x * p for x in A]), b * q)
+        C, d = other.nums, other.den
+        a0, c0 = A[0], C[0]
+        if len(A) == 1:  # values in lowest terms, cancelled across as Fractions are
+            h1, h2 = gcd(a0, d), gcd(c0, b)
+            return _jet(((a0 // h1) * (c0 // h2),), (b // h2) * (d // h1))
+        bd = b * d
+        nums = [a0 * c0]
+        nums += [a0 * y + c0 * x for x, y in zip(A[1:], C[1:])]
+        # gcd(bd, a0 c0) divides gcd(bd, a0) gcd(bd, c0)
+        return _cancel(nums, bd, gcd(a0, bd) * gcd(c0, bd))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Jet | Fraction | int") -> "Jet":
         if not isinstance(other, Jet):
             return self * (1 / Fraction(other))
-        v = other.value
-        if v == 0:
+        A, b = self.nums, self.den
+        C, d = other.nums, other.den
+        a0, c0 = A[0], C[0]
+        if c0 == 0:
             raise ZeroDivisionError("jet division by a zero value")
-        q = self.value / v
-        return Jet(q, tuple((a - q * b) / v for a, b in zip(self.grad, other.grad)))
+        if c0 < 0:
+            A, C, a0, c0 = [-x for x in A], [-x for x in C], -a0, -c0
+        g = gcd(b, d)
+        h = gcd(a0, c0)
+        b, d, a0, e = b // g, d // g, a0 // h, c0 // h
+        if len(A) == 1:  # values in lowest terms, cancelled across as Fractions are
+            return _jet((a0 * d,), b * e)
+        # value a0 d / (b c0), gradient (a_i c0 - a0 c_i) d / (b c0^2); over
+        # b e c0, with c0 = h e, the value is c0 a0 d / (c0 b e), and
+        # gcd(b e, a0 d) divides gcd(b, a0) gcd(e, d)
+        nums = [a0 * d * c0]
+        nums += [(x * e - a0 * y) * d for x, y in zip(A[1:], C[1:])]
+        return _cancel(nums, b * e * c0, c0 * gcd(b, a0) * gcd(e, d))
 
     def __rtruediv__(self, other: Fraction | int) -> "Jet":
-        return Jet.constant(other, len(self.grad)) / self
+        return Jet.constant(other, len(self.nums) - 1) / self
 
     def __pow__(self, n: int) -> "Jet":
         if n < 0:
             raise ValueError("negative power of a jet")
         if n == 0:
-            return Jet.constant(1, len(self.grad))
-        step = n * self.value ** (n - 1)
-        return Jet(self.value**n, tuple(step * a for a in self.grad))
+            return Jet.constant(1, len(self.nums) - 1)
+        if n == 1:
+            return self
+        a0, b = self.nums[0], self.den
+        if len(self.nums) == 1:
+            return _jet((a0**n,), b**n)
+        power = a0 ** (n - 1)
+        nums = [a0 * power] + [n * power * x for x in self.nums[1:]]
+        # the value a0^n / b^n loses gcd(a0, b)^n
+        return _cancel(nums, b**n, gcd(a0, b) ** n)
 
     def __repr__(self) -> str:
         return f"Jet({self.value}, {list(map(str, self.grad))})"
@@ -96,6 +191,38 @@ class Jet:
 def det_jet(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
     """Determinant of a square matrix of jets with gradients of length n.
 
+    Gaussian elimination on the jets, each pivot chosen by a nonzero value
+    (a row swap flips the sign): the determinant is the signed product of
+    the pivots, about m^3/3 jet operations for an m x m matrix.  The pivot
+    order is fixed by the values, so the same order is valid near the point
+    and the jets give the exact gradient.  When no nonzero pivot is left the
+    values are singular, and ``det_jet_cofactor`` gives the jet.
+    """
+    size = len(rows)
+    m = [list(row) for row in rows]
+    out = Jet.constant(1, n)
+    for k in range(size):
+        p = next((i for i in range(k, size) if m[i][k].nums[0]), None)
+        if p is None:
+            return det_jet_cofactor(rows, n)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            out = -out
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        out = out * pivot
+        for row in m[k + 1:]:
+            if not any(row[k].nums):
+                continue
+            f = row[k] / pivot
+            for j in range(k + 1, size):
+                row[j] = row[j] - f * pivot_row[j]
+    return out
+
+
+def det_jet_cofactor(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
+    """``det_jet`` by cofactors, the reference and the singular fallback.
+
     The value is the Bareiss determinant of the values.  The gradient is
     exact for every matrix, singular ones included, by Jacobi's formula
     d det A = sum_ij cof_ij(A) dA_ij with each cofactor a Bareiss minor.
@@ -103,9 +230,9 @@ def det_jet(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
     size = len(rows)
     values = [[e.value for e in row] for row in rows]
     value = det(ExactMatrix(values))
-    grad = [_ZERO] * n
+    grad = [Fraction(0)] * n
     if n == 0 or size == 0:
-        return Jet(value, tuple(grad))
+        return Jet(value, grad)
     for i in range(size):
         keep_rows = [values[r] for r in range(size) if r != i]
         for j in range(size):
@@ -117,4 +244,4 @@ def det_jet(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
             for c, d in enumerate(rows[i][j].grad):
                 if d:
                     grad[c] += cof * d
-    return Jet(value, tuple(grad))
+    return Jet(value, grad)

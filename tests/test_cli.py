@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zastava import cli
 from zastava.cli import main, parse_poly
 from zastava.unipoly import UniPoly
 from zastava.cluster import sample_chart_point
@@ -243,6 +244,40 @@ def test_cluster_long_mutation_sequence(tmp_path, capsys):
     data = json.loads(out)
     assert len(data["mutations"]) == 600
     assert all(v != "0" for v in data["values_at_point"].values())
+
+
+def test_cluster_caps_the_mutation_list(capsys):
+    cap = cli._MAX_MUTATIONS
+    code, out = _run(["cluster", "--a", "2", "--mutations", ",".join(["1", "2"] * (cap // 2))],
+                     capsys)
+    assert code == 0 and len(json.loads(out)["mutations"]) == cap
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--a", "2", "--mutations", ",".join(["1"] * (cap + 1))])
+    assert exc.value.code == 2
+    assert f"above the {cap}" in json.loads(capsys.readouterr().err)["reason"]
+
+
+def test_cluster_prints_values_past_the_default_digit_limit(tmp_path, capsys):
+    # int -> str converts at most 4300 digits by default; an exact value is
+    # printed whole
+    pfile = str(tmp_path / "pt.json")
+    main(["point", "--w", "1/7,3", "--y", "1000003,-999", "--out", pfile])
+    capsys.readouterr()
+    code, out = _run(["cluster", "--a", "2", "--point", pfile,
+                      "--mutations", ",".join(["1", "2"] * 100)], capsys)
+    assert code == 0
+    assert max(map(len, json.loads(out)["values_at_point"].values())) > 4300
+
+
+def test_cluster_caps_the_log_canonical_degree(capsys):
+    # the seed alone is built past the cap; the check refuses before it samples
+    cap = cli._LOGCANON_MAX_A
+    code, out = _run(["cluster", "--a", str(cap + 1)], capsys)
+    assert code == 0 and len(json.loads(out)["labels"]) == 2 * (cap + 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--a", str(cap + 1), "--check", "log-canonical"])
+    assert exc.value.code == 2
+    assert f"up to {cap}" in json.loads(capsys.readouterr().err)["reason"]
 
 
 def test_bench_cofactor_bound_allows_criterion_sizes(capsys):

@@ -16,7 +16,7 @@ from zastava.cluster import (
     mutate,
     sample_chart_point,
 )
-from zastava.jet import Jet
+from zastava.jet import Jet, det_jet_cofactor
 from zastava.linalg import ExactMatrix, det
 from zastava.points import ZastavaPoint, coordinate_assignment, coordinate_ring, from_coords
 from zastava.poisson import BracketTable
@@ -231,6 +231,47 @@ def test_jets_match_symbolic_oracle():
             for v, dv, x in zip(seed.variables, partials, seed.jets(pt, coords)):
                 assert x.value == v.evaluate(pt)
                 assert list(x.grad) == [d.evaluate(pt) for d in dv]
+
+
+@pytest.mark.parametrize("a", [6, 8])
+def test_seed_jets_match_the_cofactor_route(a):
+    """The elimination route of ``det_jet`` gives the rank-one seed's jets
+    exactly as the cofactor reference does, at two sampled points."""
+    seed = initial_seed_sl2(None, a)
+    coords = BracketTable(A1, (a,), "trigonometric").coordinates
+    rng = random.Random(a)
+    for _ in range(2):
+        pt = sample_chart_point((a,), rng)
+        ws, ys = ([Jet.coordinate(f"{v}1_{r}", pt, coords) for r in range(1, a + 1)]
+                  for v in "wy")
+        ref = hankel_minors(ws, ys, lambda rows: det_jet_cofactor(rows, len(coords)))
+        got = seed.jets(pt, coords)
+        assert [(x.nums, x.den) for x in got] == [(x.nums, x.den) for x in ref]
+
+
+def test_log_canonicity_rejects_the_same_points_on_both_routes(monkeypatch):
+    """At rng 91 the third and fifth draws have y1_1 = y1_2, where
+    C_1 = (y1_1 - y1_2)/(w1_1 - w1_2) vanishes: the closed-form jets and
+    ``MultiRat.evaluate`` at coordinate jets reject the same draws and
+    return the same values."""
+    closed = initial_seed_sl2(None, 2)
+    symbolic = Seed(closed.labels, closed.variables, closed.matrix)
+    table = BracketTable(A1, (2,), "trigonometric")
+    runs = []
+    for seed in (closed, symbolic):
+        drawn = []
+
+        def spy(*args, _sample=sample_chart_point, **kwargs):
+            pt = _sample(*args, **kwargs)
+            drawn.append(pt)
+            return pt
+
+        monkeypatch.setattr(cluster, "sample_chart_point", spy)
+        runs.append((drawn, log_canonicity_check(seed, table, trials=4, rng=random.Random(91))))
+    (drawn, rep), (drawn_symbolic, rep_symbolic) = runs
+    assert drawn == drawn_symbolic and rep == rep_symbolic
+    assert rep["ok"] and len(drawn) == 6
+    assert [k for k, pt in enumerate(drawn) if pt["y1_1"] == pt["y1_2"]] == [2, 4]
 
 
 def _recorded_seeds():

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from zastava.jet import Jet, det_jet
+from zastava.jet import Jet, det_jet, det_jet_cofactor
 from zastava.multirat import Ring
 
 R = Ring(("x", "y", "z"))
@@ -44,3 +46,92 @@ def test_det_jet_exact_on_singular_matrix():
     d = det_jet([[jx, jy], [one, jz - 3]], 3)
     assert d.value == 0
     assert list(d.grad) == [F(2), F(-1), F(1)]
+
+
+def _lowest(j):
+    return j.den > 0 and gcd(j.den, *j.nums) == 1
+
+
+def test_entries_are_integers_over_one_denominator_in_lowest_terms():
+    j = Jet(F(3, 4), (F(1, 6), F(0), F(-2)))
+    assert (j.nums, j.den) == ((9, 2, 0, -24), 12)
+    assert (j.value, j.grad) == (F(3, 4), (F(1, 6), F(0), F(-2)))
+    # the value 2/2 is not in lowest terms by itself; the jet is
+    half = Jet(F(1), (F(1, 2),))
+    assert (half.nums, half.den) == ((2, 1), 2)
+    assert ((half * half).nums, (half * half).den) == ((1, 1), 1)
+    assert ((half**2).nums, (half**2).den) == ((1, 1), 1)
+    assert ((half / half).nums, (half / half).den) == ((1, 0), 1)
+    assert Jet.coordinate("y", PT, COORDS).nums == (-3, 0, 2)
+
+
+_entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _jet_pairs(draw):
+    n = draw(st.integers(0, 3))
+    x, y = (Jet(draw(_entry), draw(st.lists(_entry, min_size=n, max_size=n))) for _ in "xy")
+    return n, x, y
+
+
+@given(_jet_pairs(), _entry)
+@settings(max_examples=150, deadline=None)
+@example((1, Jet(F(1), (F(1, 2),)), Jet(F(-2), (F(1),))), F(2))
+@example((1, Jet(F(1, 2), (F(1, 4),)), Jet(F(2), (F(1),))), F(1))  # the product is (1, 1)/1
+def test_arithmetic_follows_the_chain_rule_in_lowest_terms(pair, c):
+    n, x, y = pair
+    u, du, v, dv = x.value, x.grad, y.value, y.grad
+    expect = {
+        "+": (u + v, [a + b for a, b in zip(du, dv)]),
+        "-": (u - v, [a - b for a, b in zip(du, dv)]),
+        "*": (u * v, [u * b + v * a for a, b in zip(du, dv)]),
+        "c*": (c * u, [c * a for a in du]),
+        "c+": (c + u, list(du)),
+        "int*": (3 * u, [3 * a for a in du]),
+        "int-": (u - 2, list(du)),
+        "**3": (u**3, [3 * u**2 * a for a in du]),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y, "c*": c * x, "c+": c + x,
+           "int*": 3 * x, "int-": x - 2, "**3": x**3}
+    if v:
+        expect["/"] = (u / v, [(a - u / v * b) / v for a, b in zip(du, dv)])
+        got["/"] = x / y
+    if c:
+        expect["/c"] = (u / c, [a / c for a in du])
+        got["/c"] = x / c
+    for op, (value, grad) in expect.items():
+        assert (got[op].value, list(got[op].grad)) == (value, grad), op
+        assert _lowest(got[op]), op
+
+
+# jet entries with many zero values, so that pivots vanish and rows swap
+_small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+
+@st.composite
+def _jet_matrices(draw):
+    size, n = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    rows = [[Jet(draw(_small), draw(st.lists(_small, min_size=n, max_size=n)))
+             for _ in range(size)] for _ in range(size)]
+    if size > 1 and draw(st.booleans()):  # singular values: one row's values repeat another's
+        i, j = draw(st.permutations(range(size)))[:2]
+        rows[i] = [Jet(e.value, draw(st.lists(_small, min_size=n, max_size=n)))
+                   for e in rows[j]]
+    return rows, n
+
+
+@given(_jet_matrices())
+@settings(max_examples=120, deadline=None)
+def test_det_jet_elimination_equals_the_cofactor_reference(case):
+    rows, n = case
+    got, ref = det_jet(rows, n), det_jet_cofactor(rows, n)
+    assert (got.nums, got.den) == (ref.nums, ref.den)
+
+
+def test_det_jet_swaps_rows_at_a_zero_leading_value():
+    # det [[y, x], [x, 0]] = -x^2 at x = 2, y = 0: the first pivot is below
+    pt = {"x": F(2), "y": F(0), "z": F(0)}
+    jx, jy = (Jet.coordinate(n, pt, ("x", "y")) for n in "xy")
+    d = det_jet([[jy, jx], [jx, Jet.constant(0, 2)]], 2)
+    assert (d.value, list(d.grad)) == (F(-4), [F(-4), F(0)])
