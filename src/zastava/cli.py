@@ -3,8 +3,9 @@
 All exact values serialize as decimal-free "p/q" strings.  The RNG seed
 defaults to 0, can be set with --rng, and is overridden by the ZASTAVA_RNG
 environment variable.  Exit status is 0 when no check failed, 1 when one
-did, and 2 on bad input: flags that do not combine, or an error raised while
-the input is read (reported as a JSON object with a "reason" on stderr).
+did, and 2 on bad input: flags that do not combine, a size past a cap, or an
+error raised while the input is read, each reported as a JSON object with a
+"reason" on stderr.
 """
 
 from __future__ import annotations
@@ -139,29 +140,55 @@ _MAX_MUTATIONS = 1000
 # at a = 20)
 _LOGCANON_MAX_A = 24
 
+# largest --trials each command takes, for runs of at most about three
+# minutes at the largest size the command allows (Python 3.11, 2 vCPUs):
+# `verify --profile logcanon --trials 5000` took 89 s and 39 MB peak,
+# `poisson --type A25 --degrees 2,...,2 --check symplectic --trials 500`
+# 74 s and 37 MB, `cluster --a 24 --check log-canonical --trials 10` 164 s
+# and 39 MB
+_MAX_TRIALS = {"verify": 5000, "poisson": 500, "cluster": 10}
+
+# largest chart `poisson --check jacobi` takes, by its degree sum (Python
+# 3.11, 2 vCPUs): A2 degrees 30,30, the densest chart at that sum, took
+# 3.8-4.8 s and 24 MB peak (40,40: 9.5 s and 29 MB)
+_JACOBI_MAX_DEGREE_SUM = 60
+# largest chart `poisson --check descent` takes: each color of degree 7 adds
+# about 1.5 s and 25 MB (A1 degree 8: 23 s and 307 MB), and the colors add
+# up (A32 degrees 6,...,6: 47 s and 278 MB); at the caps, A5 degrees
+# 7,7,7,7,4 took 6.8-7.5 s and 125 MB peak in either kind
+_DESCENT_MAX_DEGREE = 7
+_DESCENT_MAX_DEGREE_SUM = 32
+
 # poisson checks that take --trials
 _TRIALS_CHECKS = ("symplectic",)
 
 
-def _check_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Reject flags the chosen verify profile or poisson check would
-    ignore (a profile takes --trials and --point when its function has
-    ``trials`` and ``points`` parameters), and a poisson check the chosen
-    kind does not define (exit status 2)."""
+def _check_flags(args) -> None:
+    """Raise ValueError on flags the chosen verify profile or poisson check
+    would ignore (a profile takes --trials and --point when its function has
+    ``trials`` and ``points`` parameters), on a poisson check the chosen
+    kind does not define, and on --trials outside 1.._MAX_TRIALS."""
+    takes_trials = True
     if args.command == "verify":
         what, name = "profile", args.profile
         params = inspect.signature(_PROFILES[name]).parameters if name in _PROFILES else {}
         takes_trials = "trials" in params
         if args.point and "points" not in params:
-            parser.error(f"--point does not apply to profile {name!r}")
+            raise ValueError(f"--point does not apply to profile {name!r}")
     elif args.command == "poisson":
         what, name, takes_trials = "check", args.check, args.check in _TRIALS_CHECKS
         if name == "symplectic" and args.kind == "rational":
-            parser.error("symplectic check is defined for the trigonometric kind")
-    else:
+            raise ValueError("symplectic check is defined for the trigonometric kind")
+    trials = getattr(args, "trials", None)
+    if trials is None:
         return
-    if args.trials is not None and not takes_trials:
-        parser.error(f"--trials does not apply to {what} {name!r}")
+    if not takes_trials:
+        raise ValueError(f"--trials does not apply to {what} {name!r}")
+    if trials < 1:  # a run of no trials would pass having checked nothing
+        raise ValueError(f"--trials must be at least 1, not {trials}")
+    if trials > _MAX_TRIALS[args.command]:
+        raise ValueError(f"{args.command} takes --trials up to "
+                         f"{_MAX_TRIALS[args.command]}, not {trials}")
 
 
 def _load_rank_one(path: str) -> ZastavaPoint:
@@ -198,6 +225,13 @@ def cmd_poisson(args) -> int:
     with _reading():
         dat = datum(args.type)
         degrees = tuple(int(t) for t in args.degrees.split(","))
+        if args.check == "jacobi" and sum(degrees) > _JACOBI_MAX_DEGREE_SUM:
+            raise ValueError(f"--check jacobi takes a degree sum up to "
+                             f"{_JACOBI_MAX_DEGREE_SUM}, not {sum(degrees)}")
+        if args.check == "descent" and (max(degrees) > _DESCENT_MAX_DEGREE
+                                        or sum(degrees) > _DESCENT_MAX_DEGREE_SUM):
+            raise ValueError(f"--check descent takes degrees up to {_DESCENT_MAX_DEGREE} "
+                             f"summing to at most {_DESCENT_MAX_DEGREE_SUM}, not {args.degrees}")
         table = BracketTable(dat, degrees, kind)
     if args.check == "jacobi":
         res = jacobi_report(table)
@@ -205,10 +239,10 @@ def cmd_poisson(args) -> int:
         res = verify_descent(dat, degrees, kind)
     else:  # symplectic
         rng = random.Random(_seed_from(args))
-        with _reading():
-            pts = [sample_chart_point(degrees, rng) for _ in range(args.trials or 5)]
         res = {"ok": True, "points": []}
-        for pt in pts:
+        for _ in range(args.trials or 5):
+            with _reading():  # a degree sum past the values the sampler draws from
+                pt = sample_chart_point(degrees, rng)
             one = symplectic_check_trig(dat, degrees, pt)
             res["points"].append({"point": pt, "ok": one["ok"]})
             res["ok"] &= one["ok"]
@@ -419,12 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_flags(parser, args)
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        with _reading():  # a run of no trials would pass having checked nothing
-            raise ValueError(f"--trials must be at least 1, not {args.trials}")
+    args = build_parser().parse_args(argv)
+    with _reading():
+        _check_flags(args)
     return args.fn(args)
 
 

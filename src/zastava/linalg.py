@@ -4,9 +4,10 @@ Covers the three cross-checking determinant routes (fraction-free Bareiss
 on an integer lift, cofactor expansion with memoization, and Bird's
 division-free scheme), Hankel matrices/minors of a Laurent series, the
 Sylvester matrix in the row arrangement used throughout this package, and
-the odd/even sub-resultant minors cut from it.  One integer Bareiss kernel,
-``_det_int``, runs behind ``det``, the sub-resultants (on the numerators of
-the Sylvester rows) and the wedge windows of ``zastava.minors``.
+the odd/even sub-resultant minors cut from it.  One integer Bareiss loop,
+``_det_int``, runs behind ``det``, ``solve_linear`` (on the augmented rows),
+the sub-resultants (on the numerators of the Sylvester rows) and the wedge
+windows of ``zastava.minors``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ class ExactMatrix:
 
 
 def _det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination with row swaps; ``rows`` is overwritten."""
+    """Determinant of the leading n x n block of n integer rows, by
+    fraction-free Bareiss elimination with row swaps; ``rows`` is
+    overwritten.  Columns past n ride along with the block, so the rows of
+    an augmented system [A | b] come out in triangular form."""
     n = len(rows)
     if n == 0:
         return 1
@@ -79,7 +82,7 @@ def _det_int(rows: list[list[int]]) -> int:
         for i in range(k + 1, n):
             ri = a[i]
             f = ri[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(ri)):
                 ri[j] = (ri[j] * p - f * pk[j]) // prev
         prev = p
     return sign * a[n - 1][n - 1]
@@ -183,11 +186,10 @@ def det(m: ExactMatrix, strategy: str = "bareiss") -> object:
 def solve_linear(a: ExactMatrix, b: Sequence[Fraction]) -> list[Fraction]:
     """Solve a*x = b exactly; raises on singular a.
 
-    Each equation is scaled to integers by the lcm of its denominators, the
-    augmented system is reduced by fraction-free (Bareiss) elimination, and
-    back substitution runs on the integers y = D*x, where D is the last
-    pivot (the determinant of the row-permuted integer system, so that
-    Cramer's rule makes every y_i an integer).
+    Each equation is scaled to integers by the lcm of its denominators, and
+    ``_det_int`` reduces the augmented rows [A | b] to triangular form while
+    it takes the determinant D of the integer system.  Back substitution
+    runs on the integers y = D*x, which Cramer's rule makes integral.
     """
     if not a.is_square or a.rows != len(b):
         raise ValueError("dimension mismatch in linear solve")
@@ -197,25 +199,14 @@ def solve_linear(a: ExactMatrix, b: Sequence[Fraction]) -> list[Fraction]:
         row = [*row, v]
         den = lcm(*(x.denominator for x in row))
         aug.append([x.numerator * (den // x.denominator) for x in row])
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular linear system")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k]
-        for i in range(k + 1, n):
-            ri = aug[i]
-            f = ri[k]
-            aug[i] = [0] * (k + 1) + [
-                (x * pk[k] - f * y) // prev for x, y in zip(ri[k + 1 :], pk[k + 1 :])
-            ]
-        prev = pk[k]
+    d = _det_int(aug)
+    if d == 0:
+        raise ValueError("singular linear system")
     y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = prev * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
+        acc = d * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
         y[i] = acc // aug[i][i]
-    return [Fraction(v, prev) for v in y]
+    return [Fraction(v, d) for v in y]
 
 
 # -- Hankel matrices and minors -------------------------------------------

@@ -13,6 +13,7 @@ pointwise checks evaluate them without forming the rational functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -166,10 +167,10 @@ def jacobi_report(table: BracketTable) -> dict:
         grad = dpi.get((b, c), {})
         return sum((p * grad[d] for d, p in pi.get(a, {}).items() if d in grad), zero)
 
-    triples = list(itertools.combinations(table.coordinates, 3))
-    failures = [(a, b, c) for a, b, c in triples
+    failures = [(a, b, c) for a, b, c in itertools.combinations(table.coordinates, 3)
                 if not (outer(a, b, c) + outer(b, c, a) + outer(c, a, b)).is_zero]
-    return {"ok": not failures, "checked": len(triples), "failures": failures}
+    checked = math.comb(len(table.coordinates), 3)
+    return {"ok": not failures, "checked": checked, "failures": failures}
 
 
 def bivector_matrix(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:

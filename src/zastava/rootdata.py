@@ -7,12 +7,9 @@ squared length of alpha_i.  Each family states its symmetrizer and its
 highest root theta in closed form (Kac, *Infinite-dimensional Lie
 algebras*, Ch. 4 and 6); the affine Cartan matrix is computed from theta.
 
-Under this reading the matrix built as "B_n" has its last simple root
-long (d = 1..1,2, theta = 2..2,1) and the one built as "C_n" its last root
-short (d = 2..2,1, theta = 1,2..2).  So the built "B_n" is the textbook
-C_n and the built "C_n" the textbook B_n; the labels match the textbook
-only under the transposed reading C_ij = <alpha_j^vee, alpha_i>.  A_n has d = 1..1 and theta = 1..1, and
-D_n d = 1..1 and theta = 1,2..2,1,1.
+B_n has its last simple root short (d = 2..2,1, theta = 1,2..2) and C_n
+its last root long (d = 1..1,2, theta = 2..2,1), as in the textbook.  A_n
+has d = 1..1 and theta = 1..1, and D_n d = 1..1 and theta = 1,2..2,1,1.
 """
 
 from __future__ import annotations
@@ -80,13 +77,13 @@ def _cartan_finite(family: str, n: int) -> tuple[list[list[int]], list[int], lis
     if family == "B":
         if n < 2:
             raise ValueError("B_n needs rank >= 2")
-        c[n - 2][n - 1] = -2  # last node long: d_n = 2
-        return c, [1] * (n - 1) + [2], [2] * (n - 1) + [1]
+        c[n - 1][n - 2] = -2  # last node short: d_n = 1
+        return c, [2] * (n - 1) + [1], [1] + [2] * (n - 1)
     if family == "C":
         if n < 2:
             raise ValueError("C_n needs rank >= 2")
-        c[n - 1][n - 2] = -2  # last node short: d_n = 1
-        return c, [2] * (n - 1) + [1], [1] + [2] * (n - 1)
+        c[n - 2][n - 1] = -2  # last node long: d_n = 2
+        return c, [1] * (n - 1) + [2], [2] * (n - 1) + [1]
     if family == "D":
         if n < 3:
             raise ValueError("D_n needs rank >= 3")

@@ -48,10 +48,6 @@ class UniPoly:
         return UniPoly((c,))
 
     @staticmethod
-    def z() -> "UniPoly":
-        return UniPoly((0, 1))
-
-    @staticmethod
     def monomial(k: int, c: Fraction | int = 1) -> "UniPoly":
         return UniPoly((0,) * k + (c,))
 

@@ -16,6 +16,17 @@ def _run(argv, capsys):
     return code, capsys.readouterr().out
 
 
+def _refused(argv, capsys) -> str:
+    """The JSON reason of a run refused with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return json.loads(line)["reason"]
+
+
 def test_parse_poly():
     assert parse_poly("z^2+1") == UniPoly([1, 0, 1])
     assert parse_poly("3z-1/2") == UniPoly(["-1/2", 3])
@@ -172,24 +183,26 @@ _POINT_DOCS = {
     ["bench", "--family", "hankel", "--sizes", "10..2"],
     ["bench", "--family", "sylvester", "--sizes", "8"],
     ["bench", "--family", "hankel", "--sizes", "2..14", "--strategies", "bareiss,cofactor"],
+    ["verify", "--profile", "jacobi", "--trials", "3"],
+    ["verify", "--profile", "gw", "--point", "pt.json"],
+    ["poisson", "--kind", "rational", "--type", "A1", "--degrees", "1", "--check", "symplectic"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "1", "--check", "jacobi",
+     "--trials", "3"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "1", "--check", "descent",
+     "--trials", "3"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
         "sampler-bound", "no-trials", "negative-degree", "logcanon-sampler-bound",
         "zero-degree-jacobi", "zero-degree-descent", "zero-degree-symplectic",
         "zero-degrees-a2", "minors-rank-two", "verify-rank-two", "bench-no-repeats",
         "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes",
-        "bench-cofactor-sylvester-8", "bench-cofactor-hankel-14"])
+        "bench-cofactor-sylvester-8", "bench-cofactor-hankel-14", "verify-trials-ignored",
+        "verify-point-ignored", "symplectic-rational", "jacobi-trials", "descent-trials"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert json.loads(line)["reason"]
+    assert _refused(argv, capsys)
 
 
 def test_poisson_command(capsys):
@@ -278,6 +291,37 @@ def test_cluster_caps_the_log_canonical_degree(capsys):
         main(["cluster", "--a", str(cap + 1), "--check", "log-canonical"])
     assert exc.value.code == 2
     assert f"up to {cap}" in json.loads(capsys.readouterr().err)["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--profile", "logcanon"],
+    ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "1", "--check", "symplectic"],
+    ["cluster", "--a", "2", "--check", "log-canonical"],
+], ids=["verify", "poisson", "cluster"])
+def test_trials_cap(argv, capsys):
+    command = argv[0]
+    cap = cli._MAX_TRIALS[command]
+    cli._check_flags(cli.build_parser().parse_args([*argv, "--trials", str(cap)]))
+    reason = _refused([*argv, "--trials", str(cap + 1)], capsys)
+    assert f"{command} takes --trials up to {cap}, not {cap + 1}" in reason
+
+
+def test_poisson_caps_the_jacobi_and_descent_charts(capsys):
+    def poisson(check, dat, degrees):
+        return ["poisson", "--kind", "trig", "--type", dat, "--check", check,
+                "--degrees", ",".join(map(str, degrees))]
+
+    top = cli._JACOBI_MAX_DEGREE_SUM
+    reason = _refused(poisson("jacobi", "A2", (top // 2, top - top // 2 + 1)), capsys)
+    assert f"degree sum up to {top}, not {top + 1}" in reason
+    assert "up to" in _refused(poisson("jacobi", "A1", (99999,)), capsys)
+    # one color past the largest degree, and colors within it past the sum
+    deg, total = cli._DESCENT_MAX_DEGREE, cli._DESCENT_MAX_DEGREE_SUM
+    for degrees in [(deg + 1,), (1, deg + 1), (deg,) * (total // deg) + (total % deg + 1,)]:
+        reason = _refused(poisson("descent", f"A{len(degrees)}", degrees), capsys)
+        assert f"degrees up to {deg} summing to at most {total}" in reason
+    code, out = _run(poisson("descent", "A2", (2, 1)), capsys)
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_bench_cofactor_bound_allows_criterion_sizes(capsys):

@@ -169,6 +169,30 @@ def test_det_int_row_swap_and_singular():
     assert _det_int([]) == 1
 
 
+@pytest.mark.parametrize("m", [
+    # a zero pivot at (2,2) after two steps: the swap is at the last step
+    [[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 1, 2], [1, 1, 2, 1]],
+    # nonzero pivots down to a zero last pivot
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[0, 2, 1, 5], [3, 1, 0, 2], [1, 0, 2, 1], [2, 4, 1, 0]],
+])
+def test_det_int_on_augmented_rows(m):
+    """The rows of [A | b] give det A, and their triangular form solves the
+    system whenever det A != 0."""
+    from zastava.linalg import _det_int
+
+    d = det(ExactMatrix(m), strategy="cofactor")
+    assert _det_int([row[:] for row in m]) == d
+    for b in ([1, -2, 3, 5][: len(m)], [0] * len(m)):
+        assert _det_int([[*row, v] for row, v in zip(m, b)]) == d
+        if d:
+            x = solve_linear(ExactMatrix(m), b)
+            assert [sum(r * v for r, v in zip(row, x)) for row in m] == b
+        else:
+            with pytest.raises(ValueError, match="^singular linear system$"):
+                solve_linear(ExactMatrix(m), b)
+
+
 # rationals with small and very wide denominators (up to 2^70)
 _wide = st.builds(
     F,

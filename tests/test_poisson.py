@@ -17,7 +17,7 @@ from zastava.poisson import (
     symplectic_form_trig,
     verify_descent,
 )
-from zastava.rootdata import datum
+from zastava.rootdata import RootDatum, datum
 from zastava.verify import _BRACKET_CONFIGS
 
 A1 = datum("A1")
@@ -214,6 +214,19 @@ def test_descent_a1():
 def test_descent_a2():
     for kind in ("rational", "trigonometric"):
         assert verify_descent(A2, (1, 1), kind)["ok"]
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_bracket_checks_hold_off_the_cartan_matrices(kind, degrees):
+    """Jacobi and descent read the datum only through d and P = diag(d) C,
+    so they hold for every symmetrizable matrix: a pass covers the bracket
+    formulas, not the root type.  Here C is the Cartan matrix of no finite
+    or affine type."""
+    x2 = RootDatum("X2", ((2, -5), (-1, 2)), (F(1), F(5)))
+    assert jacobi_report(BracketTable(x2, degrees, kind))["ok"]
+    assert jacobi_report(BracketTable(x2, degrees, kind, extended=True))["ok"]
+    assert verify_descent(x2, degrees, kind)["ok"]
 
 
 def _changed_bracket(monkeypatch, pair, change):

@@ -99,15 +99,15 @@ def test_highest_root_tables(family):
 
 
 def test_small_affine_matrices():
-    # C_ij = <alpha_i^vee, alpha_j>; "B_n" has its last simple root long
-    # and "C_n" its last root short (see the rootdata docstring)
-    assert datum("B2").d == (1, 2) and datum("C2").d == (2, 1)
+    # C_ij = <alpha_i^vee, alpha_j>; B_n has its last simple root short
+    # and C_n its last root long, as in the textbook
+    assert datum("B2").d == (2, 1) and datum("C2").d == (1, 2)
     cases = {
-        "B2-affine": (((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (2, 1, 2)),
-        "B3-affine": (((2, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+        "C2-affine": (((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (2, 1, 2)),
+        "C3-affine": (((2, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
                       (2, 1, 1, 2)),
-        "C2-affine": (((2, 0, -1), (0, 2, -1), (-2, -2, 2)), (2, 2, 1)),
-        "C3-affine": (((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -2, 2)),
+        "B2-affine": (((2, 0, -1), (0, 2, -1), (-2, -2, 2)), (2, 2, 1)),
+        "B3-affine": (((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -2, 2)),
                       (2, 2, 2, 1)),
         "D4-affine": (((2, 0, -1, 0, 0), (0, 2, -1, 0, 0), (-1, -1, 2, -1, -1),
                        (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)), (1,) * 5),

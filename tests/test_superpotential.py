@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from zastava.linalg import hankel_minor_C, hankel_minor_D
 from zastava.points import from_coords
 from zastava.rootdata import datum
 from zastava.superpotential import (
@@ -106,3 +107,26 @@ def test_positivity_sample():
         assert rep["boundary_positive"] == 5
         for rec in rep["records"]:
             assert rec["exact_part"] > 0 and rec["boundary"] > 0
+
+
+def test_positivity_sample_draws_positive_minors(monkeypatch):
+    """Every point drawn has all C_m and D_m positive, m <= a: positive
+    weights y_r / Q'(w_r) make the series a moment sequence, so the draws
+    need no positivity filter."""
+    from zastava import superpotential
+
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(from_coords(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(superpotential, "from_coords", recording)
+    for a in range(1, 7):
+        drawn.clear()
+        rep = positivity_sample(a, trials=20, rng=random.Random(a))
+        assert len(drawn) == rep["trials"] == 20
+        for pt in drawn:
+            c = pt.series(0, 2 * a + 1)
+            assert all(hankel_minor_C(c, m) > 0 and hankel_minor_D(c, m) > 0
+                       for m in range(1, a + 1))
