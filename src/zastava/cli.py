@@ -152,11 +152,14 @@ _MAX_TRIALS = {"verify": 5000, "poisson": 500, "cluster": 10}
 # 3.11, 2 vCPUs): A2 degrees 30,30, the densest chart at that sum, took
 # 3.8-4.8 s and 24 MB peak (40,40: 9.5 s and 29 MB)
 _JACOBI_MAX_DEGREE_SUM = 60
-# largest chart `poisson --check descent` takes: each color of degree 7 adds
-# about 1.5 s and 25 MB (A1 degree 8: 23 s and 307 MB), and the colors add
-# up (A32 degrees 6,...,6: 47 s and 278 MB); at the caps, A5 degrees
-# 7,7,7,7,4 took 6.8-7.5 s and 125 MB peak in either kind
-_DESCENT_MAX_DEGREE = 7
+# largest chart `poisson --check descent` takes (Python 3.11, 2 vCPUs, both
+# kinds in one process): the cost grows with the 2^a terms of Q_i, A1
+# degree 14 taking 1.0-1.5 s and 62 MB; at the caps, A3 degrees 14,14,4
+# took 3.3-5.1 s and 129 MB peak (15,15,2: 6.3-11.3 s and 251 MB), and
+# three colors of degree 14 (sum 42) 8.5-9.8 s and 192 MB, at the bound
+# of about 10 s and 200 MB; many small colors are cheap in memory (A32
+# degrees 6,...,6: 23-32 s and 30 MB)
+_DESCENT_MAX_DEGREE = 14
 _DESCENT_MAX_DEGREE_SUM = 32
 
 # poisson checks that take --trials
@@ -166,8 +169,9 @@ _TRIALS_CHECKS = ("symplectic",)
 def _check_flags(args) -> None:
     """Raise ValueError on flags the chosen verify profile or poisson check
     would ignore (a profile takes --trials and --point when its function has
-    ``trials`` and ``points`` parameters), on a poisson check the chosen
-    kind does not define, and on --trials outside 1.._MAX_TRIALS."""
+    ``trials`` and ``points`` parameters; cluster takes --trials with
+    --check log-canonical), on a poisson check the chosen kind does not
+    define, and on --trials outside 1.._MAX_TRIALS."""
     takes_trials = True
     if args.command == "verify":
         what, name = "profile", args.profile
@@ -179,6 +183,8 @@ def _check_flags(args) -> None:
         what, name, takes_trials = "check", args.check, args.check in _TRIALS_CHECKS
         if name == "symplectic" and args.kind == "rational":
             raise ValueError("symplectic check is defined for the trigonometric kind")
+    elif args.command == "cluster" and args.trials is not None and args.check != "log-canonical":
+        raise ValueError("--trials applies to cluster only with --check log-canonical")
     trials = getattr(args, "trials", None)
     if trials is None:
         return

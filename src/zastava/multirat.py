@@ -6,7 +6,8 @@ a primitive integer part, whose coefficients have gcd 1 and are positive
 at the largest key.  That form is unique, so equality is a comparison of
 fields; a product multiplies integers only (by Gauss's lemma the product
 of primitive parts is primitive), and scaling by a number changes the
-content alone.
+content alone: so does scaling a rational function by a number, which
+leaves its denominator as it is.
 
 A monomial is one ``int`` key with a field of ``FIELD_BITS`` = 16 bits per
 variable, variable 0 in the most significant field, so integer order on
@@ -48,7 +49,7 @@ class Ring:
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
         n = len(self.names)
         # bit offset of each variable's field, and the guard bits of all fields
-        self.shifts: tuple[int, ...] = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.shifts: tuple[int, ...] = tuple(range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
         self.guard: int = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
 
     @property
@@ -421,6 +422,8 @@ class MultiRat:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiRat":
+        if isinstance(other, (int, Fraction)):
+            return _rat(self.top * other, self.mono, self.factors)
         o = self._coerce(other)
         if not o.factors:
             factors = self.factors
@@ -435,6 +438,10 @@ class MultiRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiRat":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero rational function")
+            return _rat(self.top * (1 / Fraction(other)), self.mono, self.factors)
         o = self._coerce(other)
         if o.top.is_zero:
             raise ZeroDivisionError("division by zero rational function")

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from functools import cache, cached_property, partial
+from typing import Callable, Optional, Sequence
 
 from .linalg import ExactMatrix
 from .multirat import MultiRat, Ring
@@ -72,10 +73,14 @@ class BracketTable:
         i, r = name[1:].split("_")
         return kind, int(i), int(r)
 
+    @cached_property
+    def _zero(self) -> MultiRat:
+        return self.ring.rat_const(0)
+
     def _chart(self, point: Optional[Mapping[str, Fraction]] = None) -> tuple[Callable, object]:
         """Coordinate functions and zero: ring variables, or values at ``point``."""
         if point is None:
-            return self.var, self.ring.rat_const(0)
+            return self.var, self._zero
         return point.__getitem__, Fraction(0)
 
     def coordinate_bracket(self, a: str, b: str, point: Optional[Mapping[str, Fraction]] = None):
@@ -125,7 +130,7 @@ class BracketTable:
         maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over
         ``rules`` (formed at the table's first pairing), skipping a rule
         when neither product has both factors."""
-        total = zero = self.ring.rat_const(0)
+        total = zero = self._zero
         for (a, b), rule in self.rules.items():
             term = df[a] * dg[b] if a in df and b in dg else zero
             if b in df and a in dg:
@@ -277,6 +282,29 @@ def colored_R(table: BracketTable, i: int, param: str) -> MultiRat:
     return total
 
 
+class _Lazy(Mapping):
+    """A read-only {coordinate: partial} map whose callable entries are
+    formed on their first read and kept; a membership test forms nothing."""
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, c: str) -> MultiRat:
+        value = self._entries[c]
+        if callable(value):
+            value = self._entries[c] = value()
+        return value
+
+    def __contains__(self, c: object) -> bool:
+        return c in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 def verify_descent(datum: RootDatum, degrees: Sequence[int], kind: str) -> dict:
     """Symbolic verification that the coordinate brackets reproduce the
     generating-series brackets of the colored polynomials.
@@ -292,6 +320,13 @@ def verify_descent(datum: RootDatum, degrees: Sequence[int], kind: str) -> dict:
       RR0: {dR_{i,p}, dR_{i,q}} = 0.  This is {R_i(z), R_i(u)} = 0, as that
            bracket has degree below a_i in z and in u and so vanishes
            exactly when it vanishes on the a_i x a_i grid of roots.
+
+    The dw_{i,p} entry -R_i'(w_{i,p}) is formed only when a pairing reads
+    it, that is when a rule {w_{i,p}, x} is nonzero for some coordinate x
+    of the other differential; the slope R_i' is then formed once per
+    color.  The shipped rules never read it: {w_{i,p}, x} is nonzero only
+    for x = y_{i,p}, and no other differential here (a gradient of Q, or
+    dR at another root) has a y_{i,p} part.
     """
     table = BracketTable(datum, tuple(degrees), kind, extended=True, extra=("z", "u"))
     n = datum.rank
@@ -299,32 +334,38 @@ def verify_descent(datum: RootDatum, degrees: Sequence[int], kind: str) -> dict:
     P = datum.pairing
     z = table.var("z")
     Qz = [colored_Q(table, i, "z") for i in range(n)]
-    Qu = [colored_Q(table, i, "u") for i in range(n)]
+    dQz = [table.gradient(q) for q in Qz]
+    dQu = [table.gradient(colored_Q(table, i, "u")) for i in range(n)]
     checks: dict[str, bool] = {}
 
     checks["QQ"] = all(
-        table.bracket(Qz[i], Qu[j]).is_zero for i in range(n) for j in range(n)
+        table.pairing(dQz[i], dQu[j]).is_zero for i in range(n) for j in range(n)
     )
 
     def K(x: MultiRat, y: MultiRat) -> MultiRat:
         return (x + y) / (2 * (x - y)) if kind == "trigonometric" else 1 / (x - y)
 
+    @cache
+    def slope(i: int) -> MultiRat:
+        return colored_R(table, i, "z").diff("z")
+
+    def dw(i: int, w: MultiRat) -> MultiRat:
+        return -slope(i).subs("z", w)
+
     # per color, (w, R_i(w) = B_i y, dR_i) at each root w
     roots = []
     for i in range(n):
         c = i + 1
-        slope = colored_R(table, i, "z").diff("z")
         B = table.var(f"B{c}")
         at = []
         for p in range(1, table.degrees[i] + 1):
             w, y = table.var(f"w{c}_{p}"), table.var(f"y{c}_{p}")
-            dR = {f"w{c}_{p}": -slope.subs("z", w), f"y{c}_{p}": B, f"B{c}": y}
+            dR = _Lazy({f"w{c}_{p}": partial(dw, i, w), f"y{c}_{p}": B, f"B{c}": y})
             at.append((w, B * y, dR))
         roots.append(at)
 
-    dQ = [table.gradient(q) for q in Qz]
     checks["QR"] = all(
-        table.pairing(dQ[i], dR) == (-d[i] * K(z, w) * Qz[i] * R if i == j else 0)
+        table.pairing(dQz[i], dR) == (-d[i] * K(z, w) * Qz[i] * R if i == j else 0)
         for i in range(n) for j in range(n) for w, R, dR in roots[j]
     )
     checks["RRx"] = all(

@@ -190,6 +190,7 @@ _POINT_DOCS = {
      "--trials", "3"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "1", "--check", "descent",
      "--trials", "3"],
+    ["cluster", "--a", "2", "--trials", "3"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
         "sampler-bound", "no-trials", "negative-degree", "logcanon-sampler-bound",
@@ -197,7 +198,8 @@ _POINT_DOCS = {
         "zero-degrees-a2", "minors-rank-two", "verify-rank-two", "bench-no-repeats",
         "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes",
         "bench-cofactor-sylvester-8", "bench-cofactor-hankel-14", "verify-trials-ignored",
-        "verify-point-ignored", "symplectic-rational", "jacobi-trials", "descent-trials"])
+        "verify-point-ignored", "symplectic-rational", "jacobi-trials", "descent-trials",
+        "cluster-trials-without-check"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():

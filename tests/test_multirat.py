@@ -184,6 +184,30 @@ def test_factored_ops_match_values(a, b, n, name, point):
         assert a.subs(name, b).evaluate(point) == expect
 
 
+@pytest.mark.parametrize("f", [
+    (x + 2 * y) / (x**2 * y),
+    (x * y + 1) / ((x - y) ** 2 * (y + z)),
+    (x - z) / (y * (x + y)),
+], ids=["monomial", "factors", "both"])
+@pytest.mark.parametrize("c", [3, -2, 0, F(5, 7), F(-3, 2), F(0)])
+def test_scaling_by_a_number_matches_the_coerced_route(f, c):
+    """Multiplying or dividing by a number scales the content of the
+    numerator; the fields equal those of the product with, or quotient by,
+    the constant rational function."""
+    const = R.rat_const(c)
+
+    def fields(r):
+        return r.top, r.mono, r.factors
+
+    assert fields(f * c) == fields(f * const)
+    assert fields(c * f) == fields(const * f)
+    if c:
+        assert fields(f / c) == fields(f / const)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f / c
+
+
 def test_exponent_overflow_raises():
     with pytest.raises(OverflowError):
         x ** (2**15)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from zastava import poisson
 from zastava.linalg import ExactMatrix
 from zastava.poisson import (
     BracketTable,
@@ -336,6 +337,51 @@ def test_descent_matches_substitution_route(monkeypatch, dat, degrees, kind):
     _changed_bracket(monkeypatch, ("w1_1", "w1_2"), lambda value: value + 1)
     got = verify_descent(dat, degrees, kind)["checks"]
     assert got == _descent_by_substitution(dat, degrees, kind)
+
+
+def _count_colored_R(monkeypatch):
+    """Patch ``poisson.colored_R`` to count its calls; returns the count list."""
+    calls = []
+    original = poisson.colored_R
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(poisson, "colored_R", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dat, degrees", [(A1, (3,)), (A2, (2, 1)), (D4, (2, 1, 1, 1))])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_forms_no_interpolant_unperturbed(monkeypatch, dat, degrees, kind):
+    """Under the shipped rules no pairing reads a dw_{i,p} entry, so the
+    slope R_i' is never formed."""
+    calls = _count_colored_R(monkeypatch)
+    assert verify_descent(dat, degrees, kind)["ok"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("dat, degrees", [(A1, (3,)), (A2, (2, 1))])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_forms_the_slope_when_a_rule_reads_dw(monkeypatch, dat, degrees, kind):
+    """With {w1_1, w1_2} raised to 1, RR0 pairs dw1_1 with dw1_2: the
+    slope of color 1 is formed, once, and the checks match the
+    substitution route."""
+    _changed_bracket(monkeypatch, ("w1_1", "w1_2"), lambda value: value + 1)
+    with monkeypatch.context() as m:
+        calls = _count_colored_R(m)
+        got = verify_descent(dat, degrees, kind)["checks"]
+    assert calls == [(0, "z")]
+    assert got == _descent_by_substitution(dat, degrees, kind)
+    assert not got["RR0"]
+
+
+@pytest.mark.parametrize("dat, degrees", [(A1, (8,)), (A2, (5, 5))])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_descent_past_a1_degree_7(dat, degrees, kind):
+    rep = verify_descent(dat, degrees, kind)
+    assert rep["checks"] == {"QQ": True, "QR": True, "RRx": True, "RR0": True}
 
 
 def _jacobi_by_cyclic_sums(table):
