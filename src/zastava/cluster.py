@@ -318,7 +318,7 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     At each accepted point every variable is taken once as a jet (exact
     value and gradient over ``table.coordinates``, see ``Seed.jets``); the
     bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi(p) the coordinate
-    brackets at the point, of which only the nonzero ones are used.  A jet
+    brackets at the point on ``table.support``, the nonzero ones only.  A jet
     is integers N = ``x.nums`` over one denominator D (``zastava.jet``), so
     grad(x) = N[1:]/D and x = N_0/D, and D cancels between the bracket and
     the product: {x, x'}/(x x') = (N[1:]^T Pi N'[1:]) / (N_0 N'_0).  Pi(p)
@@ -331,7 +331,8 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     if rng is None:
         rng = random.Random(0)
     coords = table.coordinates
-    coord_pairs = list(itertools.combinations(enumerate(coords, start=1), 2))
+    pos = {c: k for k, c in enumerate(coords, start=1)}
+    coord_pairs = [((pos[u], u), (pos[v], v)) for u, v in table.support]
     index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
     values: list[list[Fraction]] = [[] for _ in index_pairs]
     accepted = drawn = 0

@@ -1,13 +1,14 @@
 """Exact multivariate rational functions.
 
 A polynomial is ``content * sum(terms[key] * monomial(key))`` over a fixed
-ordered variable set shared through a ``Ring``: a rational ``content`` and
-a primitive integer part, whose coefficients have gcd 1 and are positive
-at the largest key.  That form is unique, so equality is a comparison of
-fields; a product multiplies integers only (by Gauss's lemma the product
-of primitive parts is primitive), and scaling by a number changes the
-content alone: so does scaling a rational function by a number, which
-leaves its denominator as it is.
+ordered variable set shared through a ``Ring``: a primitive integer part,
+whose coefficients have gcd 1 and are positive at the largest key, and a
+rational content held as ints ``cnum / cden`` in lowest terms, ``cden > 0``
+and zero as (0, 1), reduced by gcds across the operands (Knuth, *TAOCP*
+vol. 2, 4.5.1) without ``Fraction``.  That form is unique, so equality is
+a comparison of fields; a product multiplies integers only (the product of
+primitive parts is primitive, by Gauss's lemma), and scaling a polynomial
+or a rational function by a number changes the content alone.
 
 A monomial is one ``int`` key with a field of ``FIELD_BITS`` = 16 bits per
 variable, variable 0 in the most significant field, so integer order on
@@ -29,9 +30,10 @@ reduced: equality is semantic (the difference is zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from math import gcd
+from operator import or_
 from typing import Mapping, Sequence
 
 FIELD_BITS = 16
@@ -52,14 +54,10 @@ class Ring:
         self.shifts: tuple[int, ...] = tuple(range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
         self.guard: int = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
     def pack(self, exponents: Sequence[int]) -> int:
         """The key of the monomial with these exponents (one per variable)."""
-        if len(exponents) != self.nvars:
-            raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
+        if len(exponents) != len(self.names):
+            raise ValueError(f"expected {len(self.names)} exponents, got {len(exponents)}")
         key = 0
         for k in exponents:
             if k < 0:
@@ -73,16 +71,15 @@ class Ring:
         return tuple((key >> s) & _FIELD for s in self.shifts)
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {}, Fraction(0))
+        return _poly(self, {}, 0, 1)
 
     def const(self, c: Fraction | int) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(self, {} if c == 0 else {0: 1}, c)
+        if not isinstance(c, int):
+            c = Fraction(c)
+        return _poly(self, {0: 1} if c else {}, c.numerator, c.denominator)
 
     def var(self, name: str) -> "MultiPoly":
-        e = [0] * self.nvars
-        e[self.index[name]] = 1
-        return MultiPoly(self, {self.pack(e): 1}, Fraction(1))
+        return _poly(self, {1 << self.shifts[self.index[name]]: 1}, 1, 1)
 
     def rat_const(self, c: Fraction | int) -> "MultiRat":
         return _rat(self.const(c), 0, {})
@@ -102,9 +99,9 @@ class Ring:
         return f"Ring({', '.join(self.names)})"
 
 
-def _primitive(ring: Ring, acc: Mapping[int, int], content: Fraction) -> "MultiPoly":
-    """content * acc in normal form: zero terms dropped, the integer part
-    divided by the gcd of its coefficients and by the sign of its largest key."""
+def _primitive(ring: Ring, acc: Mapping[int, int], cnum: int, cden: int) -> "MultiPoly":
+    """(cnum / cden) * acc in normal form: zeros dropped, the gcd and sign of the
+    integer part moved into the content."""
     acc = {k: v for k, v in acc.items() if v}
     if not acc:
         return ring.zero()
@@ -113,21 +110,31 @@ def _primitive(ring: Ring, acc: Mapping[int, int], content: Fraction) -> "MultiP
         g = -g
     if g != 1:
         acc = {k: v // g for k, v in acc.items()}
-        content = content * g
-    return MultiPoly(ring, acc, content)
+        h = gcd(g, cden)
+        cnum, cden = cnum * (g // h), cden // h
+    return _poly(ring, acc, cnum, cden)
 
 
-@dataclass(frozen=True)
-class MultiPoly:
-    """``content * sum(terms[key] * monomial(key))`` with ``terms`` a
-    primitive integer part (see the module docstring); zero has no terms
-    and content 0."""
+class _Fields:  # the slots of a MultiPoly, writable: ``_poly`` fills them
+    __slots__ = ("ring", "terms", "cnum", "cden")
 
-    ring: Ring
-    terms: Mapping[int, int]
-    content: Fraction
 
-    # -- predicates ----------------------------------------------------
+class MultiPoly(_Fields):
+    """``(cnum / cden) * sum(terms[key] * monomial(key))`` in the normal form
+    of the module docstring; immutable, and built only by ``_poly``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"MultiPoly is immutable: cannot set {name}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through _poly, past __setattr__
+        return _poly, (self.ring, self.terms, self.cnum, self.cden)
+
+    @property
+    def content(self) -> Fraction:
+        return Fraction(self.cnum, self.cden)
 
     @property
     def is_zero(self) -> bool:
@@ -136,10 +143,10 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.content == other.content and self.terms == other.terms
+        return self.cnum == other.cnum and self.cden == other.cden and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.content, frozenset(self.terms.items())))
+        return hash((self.cnum, self.cden, frozenset(self.terms.items())))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -153,56 +160,51 @@ class MultiPoly:
             return self
         if not self.terms:
             return other
-        # both contents are integer multiples u1, u2 of their gcd n / d
-        c1, c2 = self.content, other.content
-        n = gcd(c1.numerator, c2.numerator)
-        d = lcm(c1.denominator, c2.denominator)
-        u1 = c1.numerator // n * (d // c1.denominator)
-        u2 = c2.numerator // n * (d // c2.denominator)
+        # both contents are integer multiples u1, u2 of gcd(n1, n2) / lcm(d1, d2)
+        n1, d1, n2, d2 = self.cnum, self.cden, other.cnum, other.cden
+        n, g = gcd(n1, n2), gcd(d1, d2)
+        u1, u2 = n1 // n * (d2 // g), n2 // n * (d1 // g)
         acc = {k: u1 * v for k, v in self.terms.items()}
         get = acc.get
         for k, v in other.terms.items():
             acc[k] = get(k, 0) + u2 * v
-        return _primitive(self.ring, acc, Fraction(n, d))
+        return _primitive(self.ring, acc, n, d1 // g * d2)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ring, self.terms, -self.content)
+        return _poly(self.ring, self.terms, -self.cnum, self.cden)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
         if isinstance(other, (Fraction, int)):
-            other = Fraction(other)
-            if other == 0:
-                return self.ring.zero()
-            return MultiPoly(self.ring, self.terms, self.content * other)
-        self._check(other)
-        if not self.terms or not other.terms:
-            return self.ring.zero()
-        # the product of primitive parts is primitive, and its largest key
-        # is the sum of theirs, with a positive coefficient: no normalising
-        acc: dict[int, int] = {}
-        get = acc.get
-        b = list(other.terms.items())
-        for ka, ca in self.terms.items():
-            for kb, cb in b:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-        guard = self.ring.guard
-        if any(k & guard for k in acc):
-            raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
-        return MultiPoly(
-            self.ring, {k: v for k, v in acc.items() if v}, self.content * other.content
-        )
+            terms, n2, d2 = (self.terms if other else {}), other.numerator, other.denominator
+        else:
+            self._check(other)
+            # the product of primitive parts is primitive, and its largest key
+            # is the sum of theirs, with a positive coefficient: no normalising
+            acc: dict[int, int] = {}
+            get = acc.get
+            b = list(other.terms.items())
+            for ka, ca in self.terms.items():
+                for kb, cb in b:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+            if reduce(or_, acc, 0) & self.ring.guard:
+                raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
+            terms, n2, d2 = {k: v for k, v in acc.items() if v}, other.cnum, other.cden
+        # (n1 / d1) (n2 / d2) in lowest terms, cancelling across the operands; a
+        # zero operand gives (0, 1)
+        n1, d1 = self.cnum, self.cden
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return _poly(self.ring, terms, (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.const(1)
-        base = self
+        result, base = self.ring.const(1), self
         while n:
             if n & 1:
                 result = result * base
@@ -221,7 +223,7 @@ class MultiPoly:
             k = (key >> s) & _FIELD
             if k:
                 out[key - one] = c * k
-        return _primitive(self.ring, out, self.content)
+        return _primitive(self.ring, out, self.cnum, self.cden)
 
     def by_degree_in(self, name: str) -> list["MultiPoly"]:
         """Coefficients p_0..p_d of self = sum p_k * var^k (p_k free of var)."""
@@ -231,7 +233,7 @@ class MultiPoly:
         for key, c in self.terms.items():
             k = (key >> s) & _FIELD
             buckets[k][key - (k << s)] = c
-        return [_primitive(self.ring, b, self.content) for b in buckets]
+        return [_primitive(self.ring, b, self.cnum, self.cden) for b in buckets]
 
     def subs(self, name: str, value: "MultiRat") -> "MultiRat":
         """Substitute a rational function for a variable (Horner)."""
@@ -260,13 +262,11 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         parts = []
+        content = self.content
         for key, v in sorted(self.terms.items()):
-            c = self.content * v
-            mono = "*".join(
-                f"{self.ring.names[i]}^{k}" if k > 1 else self.ring.names[i]
-                for i, k in enumerate(self.ring.unpack(key))
-                if k
-            )
+            c = content * v
+            mono = "*".join(f"{self.ring.names[i]}^{k}" if k > 1 else self.ring.names[i]
+                            for i, k in enumerate(self.ring.unpack(key)) if k)
             parts.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
         return " + ".join(parts)
 
@@ -290,20 +290,31 @@ def _shift(p: MultiPoly, delta: int) -> MultiPoly:
     if not delta:
         return p
     terms = {key + delta: c for key, c in p.terms.items()}
-    if delta > 0 and any(k & p.ring.guard for k in terms):
+    if delta > 0 and reduce(or_, terms, 0) & p.ring.guard:
         raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
-    return MultiPoly(p.ring, terms, p.content)
+    return _poly(p.ring, terms, p.cnum, p.cden)
 
 
-def _split(p: MultiPoly) -> tuple[Fraction, int, "MultiPoly | None"]:
-    """A nonzero p as content * monomial * factor: the factor is primitive,
-    positive at its largest key, free of monomial factors, and None when
-    p is a single term."""
+def _poly(ring: Ring, terms: Mapping[int, int], cnum: int, cden: int) -> MultiPoly:
+    """The one constructor of MultiPoly: fills a ``_Fields``, then retypes it."""
+    p = object.__new__(_Fields)
+    p.ring, p.terms, p.cnum, p.cden = ring, terms, cnum, cden
+    p.__class__ = MultiPoly
+    return p
+
+
+def _inverse(n: int, d: int) -> int | Fraction:
+    """d / n for coprime n != 0 and d > 0; an int when n is 1 or -1."""
+    return d * n if n in (1, -1) else Fraction(d, n)
+
+
+def _split(p: MultiPoly) -> tuple[int | Fraction, int, "MultiPoly | None"]:
+    """A nonzero p as monomial * factor / s, s = 1 / content: the factor is
+    primitive, positive at its largest key, monomial-free, None for one term."""
     keys = iter(p.terms)
     mono = _min_key(next(keys), keys, p.ring.guard)
-    if len(p.terms) == 1:
-        return p.content, mono, None
-    return p.content, mono, MultiPoly(p.ring, _shift(p, -mono).terms, Fraction(1))
+    f = None if len(p.terms) == 1 else _poly(p.ring, _shift(p, -mono).terms, 1, 1)
+    return _inverse(p.cnum, p.cden), mono, f
 
 
 def _depends(p: MultiPoly, field: int) -> bool:
@@ -327,8 +338,8 @@ class MultiRat:
             raise ZeroDivisionError("zero denominator")
         if num.ring is not den.ring:
             raise ValueError("numerator and denominator in different rings")
-        c, mono, f = _split(den)
-        self._set(num * (1 / c), mono, {} if f is None else {f: 1})
+        s, mono, f = _split(den)
+        self._set(num * s, mono, {} if f is None else {f: 1})
 
     def _set(self, top: MultiPoly, mono: int, factors: Mapping[MultiPoly, int]) -> None:
         """Store top / (mono * factors), cancelling the common monomial;
@@ -341,11 +352,8 @@ class MultiRat:
                 raise OverflowError(f"denominator exponent exceeds {MAX_EXPONENT}")
             m = _min_key(mono, top.terms, guard)
             if m:
-                top = _shift(top, -m)
-                mono -= m
-        self.top = top
-        self.mono = mono
-        self.factors = factors
+                top, mono = _shift(top, -m), mono - m
+        self.top, self.mono, self.factors = top, mono, factors
 
     @property
     def ring(self) -> Ring:
@@ -356,9 +364,8 @@ class MultiRat:
         return self.top.is_zero
 
     def _expanded(self) -> tuple[MultiPoly, Fraction]:
-        """The denominator as a polynomial, and 1 over its coefficient at
-        the smallest key."""
-        den = MultiPoly(self.ring, {self.mono: 1}, Fraction(1))
+        """The denominator as a polynomial, and 1 over its coefficient at its smallest key."""
+        den = _poly(self.ring, {self.mono: 1}, 1, 1)
         for f, e in self.factors.items():
             den = den * f**e
         return den, Fraction(1, den.terms[min(den.terms)])
@@ -381,11 +388,10 @@ class MultiRat:
             return other
         if isinstance(other, MultiPoly):
             return _rat(other, 0, {})
-        return self.ring.rat_const(Fraction(other))
+        return self.ring.rat_const(other)
 
     def _over(self, mono: int, factors: Mapping[MultiPoly, int]) -> MultiPoly:
-        """The numerator of self over a multiple (mono, factors) of its
-        denominator."""
+        """The numerator of self over (mono, factors), a multiple of its denominator."""
         top = _shift(self.top, mono - self.mono)
         own = self.factors
         for f, e in factors.items():
@@ -441,15 +447,15 @@ class MultiRat:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero rational function")
-            return _rat(self.top * (1 / Fraction(other)), self.mono, self.factors)
+            return self * _inverse(other.numerator, other.denominator)
         o = self._coerce(other)
         if o.top.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        c, mono, f = _split(o.top)
+        s, mono, f = _split(o.top)
         factors = dict(self.factors)
         if f is not None:
             factors[f] = factors.get(f, 0) + 1
-        top = _shift(self.top, o.mono) * (1 / c)
+        top = _shift(self.top, o.mono) * s
         # o's denominator factors move up, cancelling against ours
         for g, e in o.factors.items():
             have = factors.pop(g, 0)
@@ -499,10 +505,7 @@ class MultiRat:
         if k:
             out = _shift(out, 1 << s) - top * P * k
             mono += 1 << s
-        factors = dict(self.factors)
-        for f, e in dep:
-            factors[f] = e + 1
-        return _rat(out, mono, factors)
+        return _rat(out, mono, {**self.factors, **{f: e + 1 for f, e in dep}})
 
     def subs(self, name: str, value: "MultiRat | Fraction | int") -> "MultiRat":
         """Substitute into the numerator and into each factor that depends
@@ -521,7 +524,7 @@ class MultiRat:
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Value at numbers or jets; raises ZeroDivisionError at a pole."""
-        d = MultiPoly(self.ring, {self.mono: 1}, Fraction(1)).evaluate(assignment)
+        d = _poly(self.ring, {self.mono: 1}, 1, 1).evaluate(assignment)
         for f, e in self.factors.items():
             d = d * f.evaluate(assignment) ** e
         if d == 0:
@@ -530,11 +533,8 @@ class MultiRat:
 
     def depends_on(self, name: str) -> bool:
         field = _FIELD << self.ring.shifts[self.ring.index[name]]
-        return (
-            bool(self.mono & field)
-            or _depends(self.top, field)
-            or any(_depends(f, field) for f in self.factors)
-        )
+        return bool(self.mono & field) or _depends(self.top, field) or any(
+            _depends(f, field) for f in self.factors)
 
     def __str__(self) -> str:
         if not self.mono and not self.factors:

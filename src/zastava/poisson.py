@@ -8,6 +8,10 @@ identity and the generating-series identities for the colored
 polynomials — is checked symbolically in exact arithmetic.  The coordinate
 brackets and the symplectic inverse are also stated at a point, where the
 pointwise checks evaluate them without forming the rational functions.
+
+Brackets are formed only on a table's ``support``, the pairs that can be
+nonzero, in closed form; a patch of ``coordinate_bracket`` that makes
+another pair nonzero must also patch ``support``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from typing import Callable, Optional, Sequence
 from .linalg import ExactMatrix
 from .multirat import MultiRat, Ring
 from .rootdata import RootDatum
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,7 @@ class BracketTable:
     extended: bool = False
     extra: tuple[str, ...] = ()
     ring: Ring = field(init=False, compare=False)
+    index: dict[str, tuple[str, int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("rational", "trigonometric"):
@@ -50,13 +57,15 @@ class BracketTable:
             raise ValueError(f"degrees must be nonnegative, not {tuple(self.degrees)}")
         if not any(self.degrees):  # an empty chart would pass every check unchecked
             raise ValueError(f"at least one degree must be positive, not {tuple(self.degrees)}")
-        names = []
+        # coordinate name -> (kind, color, index): "w3_2" -> ("w", 3, 2), "B3" -> ("B", 3, 0)
+        index = {}
         for i, a in enumerate(self.degrees, start=1):
-            names += [f"w{i}_{r}" for r in range(1, a + 1)]
-            names += [f"y{i}_{r}" for r in range(1, a + 1)]
+            index.update({f"w{i}_{r}": ("w", i, r) for r in range(1, a + 1)})
+            index.update({f"y{i}_{r}": ("y", i, r) for r in range(1, a + 1)})
             if self.extended:
-                names.append(f"B{i}")
-        object.__setattr__(self, "ring", Ring(tuple(names) + tuple(self.extra)))
+                index[f"B{i}"] = ("B", i, 0)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ring", Ring(tuple(index) + tuple(self.extra)))
 
     @property
     def coordinates(self) -> tuple[str, ...]:
@@ -64,14 +73,6 @@ class BracketTable:
 
     def var(self, name: str) -> MultiRat:
         return self.ring.rat_var(name)
-
-    def _parse(self, name: str) -> tuple[str, int, int]:
-        # "w3_2" -> ("w", 3, 2); "B3" -> ("B", 3, 0)
-        if name.startswith("B"):
-            return "B", int(name[1:]), 0
-        kind = name[0]
-        i, r = name[1:].split("_")
-        return kind, int(i), int(r)
 
     @cached_property
     def _zero(self) -> MultiRat:
@@ -85,33 +86,45 @@ class BracketTable:
 
     def coordinate_bracket(self, a: str, b: str, point: Optional[Mapping[str, Fraction]] = None):
         """{a, b} for coordinate names a, b, as a rational function, or its
-        value at ``point`` when given."""
-        ka, ia, ra = self._parse(a)
-        kb, ib, rb = self._parse(b)
+        value at ``point`` when given; a name outside the chart raises
+        ValueError."""
+        for c in (a, b):
+            if c not in self.index:
+                raise ValueError(f"{c!r} is not a coordinate of the chart with degrees "
+                                 f"{self.degrees}{' (extended)' if self.extended else ''}")
+        (ka, ia, ra), (kb, ib, rb) = self.index[a], self.index[b]
         if ka > kb or (ka == kb and (ia, ra) > (ib, rb)):
             return -self.coordinate_bracket(b, a, point)
-        d = self.datum.d
-        P = self.datum.pairing
         x, zero = self._chart(point)
+        d = self.datum.d
         trig = self.kind == "trigonometric"
-        if ka == kb == "w" or ka == kb == "B" or (ka, kb) == ("B", "w"):
-            return zero
-        if (ka, kb) == ("w", "y"):
-            if ia != ib or ra != rb:
-                return zero
+        if (ka, kb) == ("w", "y") and (ia, ra) == (ib, rb):
             return d[ia - 1] * (x(a) * x(b) if trig else x(b))
-        if (ka, kb) == ("y", "y"):
-            if ia == ib:
-                return zero
-            w1 = x(f"w{ia}_{ra}")
-            w2 = x(f"w{ib}_{rb}")
-            num = (w1 + w2) * Fraction(1, 2) if trig else 1
-            return Fraction(P[ia - 1][ib - 1]) * num / (w1 - w2) * x(a) * x(b)
-        if (ka, kb) == ("B", "y"):
-            if not trig or ia != ib:
-                return zero
+        if (ka, kb) == ("y", "y") and ia != ib:
+            w1, w2 = x(f"w{ia}_{ra}"), x(f"w{ib}_{rb}")
+            num = (w1 + w2) * _HALF if trig else 1
+            return self.datum.pairing[ia - 1][ib - 1] * num / (w1 - w2) * x(a) * x(b)
+        if (ka, kb) == ("B", "y") and trig and ia == ib:
             return Fraction(-d[ia - 1], 2) * x(a) * x(b)
-        raise AssertionError(f"unhandled pair {a}, {b}")
+        return zero
+
+    @cached_property
+    def support(self) -> tuple[tuple[str, str], ...]:
+        """The pairs (a, b), a before b in chart order, whose bracket can be
+        nonzero, in the order of ``itertools.combinations``: (w_{i,r},
+        y_{i,r}); (y_{i,r}, B_i) on a trigonometric extended chart; and
+        (y_{i,r}, y_{j,s}) for colors i < j."""
+        with_B = self.extended and self.kind == "trigonometric"
+        ys = [(c, i) for c, (k, i, _) in self.index.items() if k == "y"]
+        pairs = []
+        for c, (k, i, r) in self.index.items():
+            if k == "w":
+                pairs.append((c, f"y{i}_{r}"))
+            elif k == "y":
+                if with_B:
+                    pairs.append((c, f"B{i}"))
+                pairs += [(c, y) for y, j in ys if j > i]
+        return tuple(pairs)
 
     def gradient(self, f: MultiRat) -> dict[str, MultiRat]:
         """The nonzero partials of f, as a {coordinate: partial} map."""
@@ -120,16 +133,16 @@ class BracketTable:
     @cached_property
     def rules(self) -> dict[tuple[str, str], MultiRat]:
         """The nonzero {a, b} for a before b in chart order, formed once per
-        table by ``coordinate_bracket``: a patch of that method must be in
-        place before the table's first pairing."""
-        pairs = itertools.combinations(self.coordinates, 2)
-        return {p: r for p in pairs if not (r := self.coordinate_bracket(*p)).is_zero}
+        table by ``coordinate_bracket`` on the ``support`` pairs only: a patch
+        of that method must be in place before the table's first pairing, and
+        one that makes a pair outside the support nonzero must patch it too."""
+        return {p: r for p in self.support if not (r := self.coordinate_bracket(*p)).is_zero}
 
     def pairing(self, df: Mapping[str, MultiRat], dg: Mapping[str, MultiRat]) -> MultiRat:
         """The bivector on two differentials given as {coordinate: partial}
-        maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over
-        ``rules`` (formed at the table's first pairing), skipping a rule
-        when neither product has both factors."""
+        maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over ``rules``
+        (formed on the ``support`` pairs at the table's first pairing),
+        skipping a rule when neither product has both factors."""
         total = zero = self._zero
         for (a, b), rule in self.rules.items():
             term = df[a] * dg[b] if a in df and b in dg else zero
@@ -140,28 +153,22 @@ class BracketTable:
         return total
 
     def bracket(self, f: MultiRat, g: MultiRat) -> MultiRat:
-        """{f, g}, the pairing of the two gradients.
-
-        Ring variables beyond the coordinates (for example spectral
-        parameters) are treated as constants.
-        """
+        """{f, g}, the pairing of the two gradients; ring variables beyond the
+        coordinates (for example spectral parameters) are constants."""
         return self.pairing(self.gradient(f), self.gradient(g))
 
 
 def jacobi_check(table: BracketTable, f: MultiRat, g: MultiRat, h: MultiRat) -> MultiRat:
     """The cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}}; zero means pass."""
-    return (
-        table.bracket(f, table.bracket(g, h))
-        + table.bracket(g, table.bracket(h, f))
-        + table.bracket(h, table.bracket(f, g))
-    )
+    br = table.bracket
+    return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
 
 
 def jacobi_report(table: BracketTable) -> dict:
     """Jacobi sums over every unordered triple of chart coordinates, as the
     Schouten sum of the bivector pi_ab = {x_a, x_b} = -pi_ba from ``rules``,
     each entry differentiated once: {x_a, {x_b, x_c}} = sum_d pi_ad d_d pi_bc."""
-    zero = table.ring.rat_const(0)
+    zero = table._zero
     pi, dpi = {}, {}
     for (a, b), rule in table.rules.items():
         grad = table.gradient(rule)
@@ -180,11 +187,21 @@ def jacobi_report(table: BracketTable) -> dict:
 
 def bivector_matrix(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:
     """Matrix of {x_a, x_b} over the chart coordinates, in chart order;
-    symbolic, or at ``point`` when given."""
-    coords = table.coordinates
-    return ExactMatrix(
-        [[table.coordinate_bracket(a, b, point) for b in coords] for a in coords]
-    )
+    symbolic, or at ``point`` when given.  Only the ``support`` pairs are
+    formed; every other entry is zero."""
+    return _antisymmetric(table, point, (
+        (a, b, table.coordinate_bracket(a, b, point)) for a, b in table.support))
+
+
+def _antisymmetric(table: BracketTable, point, entries) -> ExactMatrix:
+    """The matrix over the chart coordinates that is zero except for
+    m[a][b] = v and m[b][a] = -v, for each (a, b, v) in entries."""
+    pos = {c: k for k, c in enumerate(table.coordinates)}
+    zero = table._chart(point)[1]
+    rows = [[zero] * len(pos) for _ in pos]
+    for a, b, v in entries:
+        rows[pos[a]][pos[b]], rows[pos[b]][pos[a]] = v, -v
+    return ExactMatrix(rows)
 
 
 def symplectic_form_trig(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:
@@ -197,33 +214,25 @@ def symplectic_form_trig(table: BracketTable, point: Optional[Mapping[str, Fract
     """
     if table.kind != "trigonometric" or table.extended:
         raise ValueError("closed-form inverse stated for the plain trigonometric chart")
-    d = table.datum.d
-    P = table.datum.pairing
-    coords = table.coordinates
-    x, zero = table._chart(point)
-
-    def entry(a: str, b: str):
-        ka, ia, ra = table._parse(a)
-        kb, ib, rb = table._parse(b)
-        if (ka, kb) == ("y", "w") and (ia, ra) == (ib, rb):
-            return Fraction(1, d[ia - 1]) / (x(a) * x(b))
-        if (ka, kb) == ("w", "y") and (ia, ra) == (ib, rb):
-            return -(Fraction(1, d[ia - 1]) / (x(b) * x(a)))
-        if ka == kb == "w" and ia != ib:
-            w1, w2 = x(a), x(b)
-            coef = Fraction(P[ia - 1][ib - 1], 2 * d[ia - 1] * d[ib - 1])
-            return coef * (w1 + w2) / ((w1 - w2) * w1 * w2)
-        return zero
-
-    return ExactMatrix([[entry(a, b) for b in coords] for a in coords])
+    d, P = table.datum.d, table.datum.pairing
+    x = table._chart(point)[0]
+    ws = [(c, i, r) for c, (k, i, r) in table.index.items() if k == "w"]
+    entries = []
+    for w, i, r in ws:
+        y = f"y{i}_{r}"
+        entries.append((w, y, -(Fraction(1, d[i - 1]) / (x(y) * x(w)))))
+        for w2, j, _ in ws:
+            if j > i:
+                w1v, w2v = x(w), x(w2)
+                coef = Fraction(P[i - 1][j - 1], 2 * d[i - 1] * d[j - 1])
+                entries.append((w, w2, coef * (w1v + w2v) / ((w1v - w2v) * w1v * w2v)))
+    return _antisymmetric(table, point, entries)
 
 
 def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict) -> dict:
-    """Evaluate bivector and closed-form inverse at a point; assert B*Omega = I.
-
-    The point maps coordinate names to exact scalars; the w's must be
-    distinct and nonzero and the y's nonzero.
-    """
+    """Evaluate bivector and closed-form inverse at a point, which maps the
+    coordinates to exact scalars (the w's distinct and nonzero, the y's
+    nonzero); assert B*Omega = I."""
     table = BracketTable(datum, tuple(degrees), "trigonometric")
     coords = table.coordinates
     if any(point[c] == 0 for c in coords):
@@ -237,15 +246,13 @@ def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict)
     # B * Omega over the nonzero entries only
     om_rows = [[(j, v) for j, v in enumerate(row) if v] for row in Om]
     bad = []
-    for i in range(n):
+    for i, row in enumerate(B):
         got = [0] * n
-        for k, b in enumerate(B[i]):
+        for k, b in enumerate(row):
             if b:
                 for j, v in om_rows[k]:
                     got[j] += b * v
-        for j in range(n):
-            if got[j] != (1 if i == j else 0):
-                bad.append((i, j, got[j]))
+        bad += [(i, j, g) for j, g in enumerate(got) if g != (1 if i == j else 0)]
     return {"ok": not bad, "size": n, "bivector": B, "form": Om, "failures": bad}
 
 
@@ -254,9 +261,8 @@ def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict)
 
 def colored_Q(table: BracketTable, i: int, param: str) -> MultiRat:
     """Q_i(param) = B_i * prod_r (param - w_{i,r}) as a chart function."""
-    R = table.ring
-    z = R.rat_var(param)
-    out = table.var(f"B{i + 1}") if table.extended else R.rat_const(1)
+    z = table.var(param)
+    out = table.var(f"B{i + 1}") if table.extended else table.ring.rat_const(1)
     for r in range(1, table.degrees[i] + 1):
         out = out * (z - table.var(f"w{i + 1}_{r}"))
     return out
@@ -264,18 +270,16 @@ def colored_Q(table: BracketTable, i: int, param: str) -> MultiRat:
 
 def colored_R(table: BracketTable, i: int, param: str) -> MultiRat:
     """R_i(param): the interpolant through (w_{i,r}, y_{i,r}), scaled by B_i."""
-    R = table.ring
-    z = R.rat_var(param)
+    z = table.var(param)
     a = table.degrees[i]
-    total = R.rat_const(0)
+    total = table._zero
     for r in range(1, a + 1):
         term = table.var(f"y{i + 1}_{r}")
         wr = table.var(f"w{i + 1}_{r}")
         for s in range(1, a + 1):
-            if s == r:
-                continue
-            ws = table.var(f"w{i + 1}_{s}")
-            term = term * (z - ws) / (wr - ws)
+            if s != r:
+                ws = table.var(f"w{i + 1}_{s}")
+                term = term * (z - ws) / (wr - ws)
         total = total + term
     if table.extended:
         total = total * table.var(f"B{i + 1}")
@@ -322,25 +326,21 @@ def verify_descent(datum: RootDatum, degrees: Sequence[int], kind: str) -> dict:
            exactly when it vanishes on the a_i x a_i grid of roots.
 
     The dw_{i,p} entry -R_i'(w_{i,p}) is formed only when a pairing reads
-    it, that is when a rule {w_{i,p}, x} is nonzero for some coordinate x
-    of the other differential; the slope R_i' is then formed once per
-    color.  The shipped rules never read it: {w_{i,p}, x} is nonzero only
-    for x = y_{i,p}, and no other differential here (a gradient of Q, or
-    dR at another root) has a y_{i,p} part.
+    it, with the slope R_i' formed once per color.  The shipped rules never
+    read it: the support pairs w_{i,p} with y_{i,p} alone, and no other
+    differential here (a gradient of Q, or dR at another root) has a
+    y_{i,p} part.
     """
     table = BracketTable(datum, tuple(degrees), kind, extended=True, extra=("z", "u"))
-    n = datum.rank
-    d = datum.d
-    P = datum.pairing
+    n, d, P = datum.rank, datum.d, datum.pairing
     z = table.var("z")
     Qz = [colored_Q(table, i, "z") for i in range(n)]
     dQz = [table.gradient(q) for q in Qz]
     dQu = [table.gradient(colored_Q(table, i, "u")) for i in range(n)]
     checks: dict[str, bool] = {}
 
-    checks["QQ"] = all(
-        table.pairing(dQz[i], dQu[j]).is_zero for i in range(n) for j in range(n)
-    )
+    checks["QQ"] = all(table.pairing(dQz[i], dQu[j]).is_zero
+                       for i in range(n) for j in range(n))
 
     def K(x: MultiRat, y: MultiRat) -> MultiRat:
         return (x + y) / (2 * (x - y)) if kind == "trigonometric" else 1 / (x - y)

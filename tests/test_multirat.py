@@ -1,4 +1,7 @@
+import copy
+import pickle
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,3 +302,85 @@ def test_kernel_matches_sympy(ring_terms, data):
 
 def _fraction(value) -> F:
     return F(int(value.p), int(value.q))
+
+
+def _normal(p: MultiPoly) -> None:
+    """The content pair is in lowest terms with a positive denominator, zero
+    is (0, 1), and the integer part is primitive and positive at its
+    largest key."""
+    assert p.cden > 0 and gcd(p.cnum, p.cden) == 1
+    if p.is_zero:
+        assert (p.cnum, p.cden) == (0, 1)
+    else:
+        assert p.cnum and gcd(*p.terms.values()) == 1 and p.terms[max(p.terms)] > 0
+
+
+def _content_of(coeffs: dict) -> F:
+    """The content of a polynomial with these exact coefficients, in
+    Fractions: their rational gcd, signed by the coefficient at the largest
+    key, as the Fraction-based kernel computed it."""
+    if not coeffs:
+        return F(0)
+    g = F(gcd(*(c.numerator for c in coeffs.values())),
+          lcm(*(c.denominator for c in coeffs.values())))
+    return g if coeffs[max(coeffs)] > 0 else -g
+
+
+def _coeffs(p: MultiPoly) -> dict:
+    return {k: p.content * v for k, v in p.terms.items()}
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return {k: c for k, c in coeffs.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_and_terms(2), st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=5)),
+       st.data())
+def test_kernel_keeps_the_content_pair_reduced(ring_terms, scalar, data):
+    ring, maps = ring_terms
+    p, q = (_poly(ring, m) for m in maps)
+    cp, cq = _coeffs(p), _coeffs(q)
+    name = data.draw(st.sampled_from(ring.names))
+    s = ring.shifts[ring.index[name]]
+    field = lambda k: (k >> s) & 0xFFFF  # noqa: E731
+    product: dict = {}
+    for ka, a in cp.items():
+        for kb, b in cq.items():
+            product[ka + kb] = product.get(ka + kb, 0) + a * b
+    expected = [
+        (p + q, _nonzero({k: cp.get(k, 0) + cq.get(k, 0) for k in {*cp, *cq}})),
+        (p - q, _nonzero({k: cp.get(k, 0) - cq.get(k, 0) for k in {*cp, *cq}})),
+        (p * q, _nonzero(product)),
+        (p * scalar, _nonzero({k: c * scalar for k, c in cp.items()})),
+        (scalar * p, _nonzero({k: c * scalar for k, c in cp.items()})),
+        (p.diff(name), {k - (1 << s): c * field(k) for k, c in cp.items() if field(k)}),
+        (ring.zero(), {}),
+        (ring.const(scalar), _nonzero({0: F(scalar)})),
+    ]
+    degree = max(map(field, cp), default=0)
+    for e, part in enumerate(p.by_degree_in(name)):
+        expected.append((part, {k - (e << s): c for k, c in cp.items() if field(k) == e}))
+    for result, coeffs in expected:
+        _normal(result)
+        assert _coeffs(result) == coeffs
+        assert result.content == _content_of(coeffs)
+    assert len(p.by_degree_in(name)) == degree + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_and_terms(2))
+def test_polynomials_are_immutable_and_hash_by_value(ring_terms):
+    ring, maps = ring_terms
+    p, q = (_poly(ring, m) for m in maps)
+    for attr, value in (("terms", {}), ("cnum", 2), ("cden", 3), ("ring", ring), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, value)
+    with pytest.raises(AttributeError):
+        del p.terms
+    assert p == _poly(ring, maps[0]) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p))
+    # equal polynomials built by different routes are one dict key
+    pairs = [(p * q, q * p), ((p + q) - q, p), (p * 2 * F(1, 2), p), (-(-p), p)]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
+        assert {left: 1}[right] == 1

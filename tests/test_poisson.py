@@ -19,7 +19,7 @@ from zastava.poisson import (
     verify_descent,
 )
 from zastava.rootdata import RootDatum, datum
-from zastava.verify import _BRACKET_CONFIGS
+from zastava.verify import _BRACKET_CONFIGS, _DESCENT_CONFIGS
 
 A1 = datum("A1")
 A2 = datum("A2")
@@ -78,6 +78,37 @@ def test_extended_B_rules():
     assert t.coordinate_bracket("B1", "w1_1").is_zero
     tr = BracketTable(A1, (1,), "rational", extended=True)
     assert tr.coordinate_bracket("B1", "y1_1").is_zero
+
+
+@pytest.mark.parametrize("a, b", [("w1_1", "w1_9"), ("w1_1", "y1_9"), ("w1_1", "z"), ("B1", "y1_1")])
+@pytest.mark.parametrize("at_point", [False, True], ids=["symbolic", "at-point"])
+def test_coordinate_bracket_rejects_names_outside_the_chart(a, b, at_point):
+    """A name outside the chart raises ValueError naming it and the degrees,
+    in either slot, instead of a silent zero or a bare lookup error."""
+    table = BracketTable(A1, (2,), "rational")
+    point = _chart_point(table, random.Random(0)) if at_point else None
+    bad = b if a in table.coordinates else a
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=rf"'{bad}' is not a coordinate .* degrees \(2,\)"):
+            table.coordinate_bracket(*pair, point)
+
+
+_SUPPORT_CONFIGS = sorted(set(_BRACKET_CONFIGS) | set(_DESCENT_CONFIGS))
+
+
+@pytest.mark.parametrize("label, degrees", _SUPPORT_CONFIGS)
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_support_holds_every_nonzero_bracket(label, degrees, kind, extended):
+    """Every pair outside ``support`` has a zero bracket, the support is in
+    chart order, and ``rules`` equals the nonzero brackets over all pairs."""
+    extra = ("z", "u") if extended else ()
+    table = BracketTable(datum(label), degrees, kind, extended=extended, extra=extra)
+    pairs = list(itertools.combinations(table.coordinates, 2))
+    support = set(table.support)
+    assert list(table.support) == [p for p in pairs if p in support]
+    assert all(table.coordinate_bracket(*p).is_zero for p in pairs if p not in support)
+    assert list(table.rules) == [p for p in pairs if not table.coordinate_bracket(*p).is_zero]
 
 
 def test_bracket_antisymmetry_and_leibniz():
@@ -232,14 +263,25 @@ def test_bracket_checks_hold_off_the_cartan_matrices(kind, degrees):
 
 def _changed_bracket(monkeypatch, pair, change):
     """Patch BracketTable so that the coordinate bracket {pair} (and, by
-    antisymmetry, its reverse) becomes change(its value)."""
+    antisymmetry, its reverse) becomes change(its value).  ``rules`` reads
+    only the ``support`` pairs, so a pair outside a table's support joins
+    it, in chart order."""
     original = BracketTable.coordinate_bracket
+    support = BracketTable.support
 
     def patched(self, a, b, point=None):
         value = original(self, a, b, point)
         return change(value) if (a, b) == pair else value
 
+    def widened(self):
+        pairs = support.__get__(self, BracketTable)
+        if pair in pairs:
+            return pairs
+        pos = self.coordinates.index
+        return tuple(sorted([*pairs, pair], key=lambda p: (pos(p[0]), pos(p[1]))))
+
     monkeypatch.setattr(BracketTable, "coordinate_bracket", patched)
+    monkeypatch.setattr(BracketTable, "support", property(widened))
 
 
 def _scaled_bracket(monkeypatch, pair, scale):
