@@ -136,16 +136,16 @@ def _parse_sizes(text: str) -> list[int]:
 # the values, so the cost grows faster than the length and with the point
 _MAX_MUTATIONS = 1000
 # largest --a that `cluster --check log-canonical` takes (Python 3.11, 2
-# vCPUs): one trial took 12.7 s and 22 MB at a = 24 (1.0 s at a = 16, 3.6 s
-# at a = 20)
+# vCPUs): one trial took 6.0 s and 30 MB at a = 24 (0.54-0.59 s and 21 MB
+# at a = 16, 2.0-3.0 s and 25 MB at a = 20)
 _LOGCANON_MAX_A = 24
 
 # largest --trials each command takes, for runs of at most about three
 # minutes at the largest size the command allows (Python 3.11, 2 vCPUs):
 # `verify --profile logcanon --trials 5000` took 89 s and 39 MB peak,
 # `poisson --type A25 --degrees 2,...,2 --check symplectic --trials 500`
-# 74 s and 37 MB, `cluster --a 24 --check log-canonical --trials 10` 164 s
-# and 39 MB
+# 74 s and 37 MB, `cluster --a 24 --check log-canonical --trials 10` 92 s
+# and 34 MB
 _MAX_TRIALS = {"verify": 5000, "poisson": 500, "cluster": 10}
 
 # largest chart `poisson --check jacobi` takes, by its degree sum (Python

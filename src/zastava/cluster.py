@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
-from .jet import Jet, det_jet
+from .jet import Jet, leading_minors_jet
 from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
 from .multirat import MultiRat
 from .points import Tier, ZastavaPoint, coordinate_ring
@@ -223,20 +223,28 @@ def mutate(seed: Seed, k: int) -> Seed:
 # -- rank-one initial seed ---------------------------------------------------
 
 
-def hankel_minors(ws: Sequence, ys: Sequence, determinant: Callable[[list[list]], object]) -> tuple:
+def hankel_minors(ws: Sequence, ys: Sequence, leading_minors: Callable[[list[list]], Sequence]) -> tuple:
     """(D_1, C_1, ..., D_a, C_a) for a = len(ws): the size-m Hankel
     determinants (C offset 0, D offset 1) of the closed-form series
-    coefficients (``series_coefficients``), each taken from its rows by
-    ``determinant``.  The number type is the caller's: ring variables with
-    a symbolic determinant give the chart functions, coordinate jets with
-    ``det_jet`` their jets at a point."""
+    coefficients (``series_coefficients``).  ``leading_minors`` takes the
+    rows of the a x a Hankel matrix at one offset and returns its leading
+    principal minors of sizes 1..a, so each offset is one call.  The number
+    type is the caller's: ring variables with a cofactor determinant per
+    block (``block_minors``) give the chart functions, coordinate jets with
+    ``leading_minors_jet`` (one Bareiss pass per offset) their jets at a
+    point."""
     a = len(ws)
     c = series_coefficients(ws, ys, 2 * a)
-    return tuple(
-        determinant([[c[j + k + offset] for k in range(m)] for j in range(m)])
-        for m in range(1, a + 1)
-        for offset in (1, 0)
-    )
+    d, cc = (leading_minors([[c[j + k + offset] for k in range(a)] for j in range(a)])
+             for offset in (1, 0))
+    return tuple(x for pair in zip(d, cc) for x in pair)
+
+
+def block_minors(determinant: Callable[[list[list]], object]) -> Callable[[list[list]], list]:
+    """A ``leading_minors`` for ``hankel_minors`` that takes each leading
+    block by ``determinant`` on its own rows."""
+    return lambda rows: [determinant([row[:m] for row in rows[:m]])
+                         for m in range(1, len(rows) + 1)]
 
 
 def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
@@ -275,11 +283,11 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
             )
         ring = coordinate_ring((a,))
         return hankel_minors(*chart(ring.rat_var),
-                             lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
+                             block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor")))
 
     def jets(pt: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
         return hankel_minors(*chart(lambda name: Jet.coordinate(name, pt, coords)),
-                             lambda rows: det_jet(rows, len(coords)))
+                             lambda rows: leading_minors_jet(rows, len(coords)))
 
     return Seed(labels, build, matrix, jets=jets)
 

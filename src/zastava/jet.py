@@ -22,12 +22,27 @@ against the other denominator), so that no gcd runs on two numbers as long
 as the result's.  ``nums`` and ``den`` are public: ``cluster`` forms
 brackets on the numerators, where the denominators cancel.  ``value`` and
 ``grad`` read the entries as Fractions.
+
+Determinants of jet matrices skip the per-operation gcds.  Each row is
+lifted to integer duals, the ``nums`` of its entries over the lcm of the
+row's denominators (as ``linalg.solve_linear`` lifts its equations), and
+one fraction-free Bareiss pass (Math. Comp. 22, 1968) runs in
+Z[eps]/(eps^2) with one eps per coordinate.  By Sylvester's identity each
+entry it forms is a minor of the lift, so every division by the previous
+pivot is exact, and it is done component by component because that
+pivot's value is nonzero.  The k-th pivot of a pass without row swaps is
+the k-th leading principal minor of the lift, so ``leading_minors_jet``
+reads all leading minors of a matrix from one pass, each reduced once;
+after a zero pivot value it takes the larger blocks by ``det_jet``.
+``det_jet`` runs the pass with row swaps and, when the values are
+singular, falls back to ``det_jet_cofactor`` (Jacobi's formula on
+cofactors), which is also the test reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, det
@@ -188,36 +203,100 @@ class Jet:
         return f"Jet({self.value}, {list(map(str, self.grad))})"
 
 
+def _lift(rows: Sequence[Sequence[Jet]]) -> tuple[list[list[list[int]]], list[int]]:
+    """Each row of jets as integer duals, the entries' ``nums`` over the lcm
+    of the row's denominators, and those lcms (the row scales)."""
+    lifted, scales = [], []
+    for row in rows:
+        s = lcm(*(e.den for e in row))
+        lifted.append([list(e.nums) if e.den == s else [x * (s // e.den) for x in e.nums]
+                       for e in row])
+        scales.append(s)
+    return lifted, scales
+
+
+def _eliminate(m: list[list[list[int]]], k: int, prev: list[int] | None) -> None:
+    """Bareiss step k on integer duals, in place: right of column k, each
+    entry x of a row below k becomes (x p - f y) / prev, with p = m[k][k],
+    f the row's entry in column k and y the pivot row's entry above x.  By
+    Sylvester's identity the quotient is a minor of the lifted matrix, so it
+    lies in Z[eps]; prev's value is nonzero, so prev is no zero divisor and
+    the quotient is read off exactly, value first (None stands for 1)."""
+    pivot_row = m[k]
+    p = pivot_row[k]
+    p0, pg = p[0], p[1:]
+    for row in m[k + 1:]:
+        f = row[k]
+        f0, fg = f[0], f[1:]
+        for j in range(k + 1, len(row)):
+            x, y = row[j], pivot_row[j]
+            x0, y0 = x[0], y[0]
+            v = [x0 * p0 - f0 * y0]
+            v += [x0 * pc + xc * p0 - f0 * yc - fc * y0
+                  for xc, yc, pc, fc in zip(x[1:], y[1:], pg, fg)]
+            if prev is not None:
+                d0 = prev[0]
+                q0 = v[0] // d0
+                v = [q0] + [(vc - q0 * dc) // d0 for vc, dc in zip(v[1:], prev[1:])]
+            row[j] = v
+
+
+def leading_minors_jet(rows: Sequence[Sequence[Jet]], n: int) -> list[Jet]:
+    """The jets of the leading principal minors, sizes 1..m, of an m x m
+    matrix of jets with gradients of length n.
+
+    One fraction-free Bareiss pass on the integer-dual lift (``_lift``)
+    without row swaps: by Sylvester's identity its k-th pivot is the k-th
+    leading minor of the lift, that is the k-th minor times the first k row
+    scales, so each minor is that pivot over their product, reduced once.
+    A zero pivot value stops the pass, since the next step divides by it;
+    each larger block is then taken by ``det_jet``.
+    """
+    size = len(rows)
+    m, scales = _lift(rows)
+    out = []
+    prev = None
+    scale = 1
+    for k in range(size):
+        p = m[k][k]
+        scale *= scales[k]
+        out.append(_cancel(p, scale, scale))
+        if k + 1 < size and p[0] == 0:
+            out += [det_jet([row[:s] for row in rows[:s]], n) for s in range(k + 2, size + 1)]
+            break
+        _eliminate(m, k, prev)
+        prev = p
+    return out
+
+
 def det_jet(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
     """Determinant of a square matrix of jets with gradients of length n.
 
-    Gaussian elimination on the jets, each pivot chosen by a nonzero value
-    (a row swap flips the sign): the determinant is the signed product of
-    the pivots, about m^3/3 jet operations for an m x m matrix.  The pivot
+    The Bareiss pass of ``leading_minors_jet`` with row swaps, each pivot
+    chosen by a nonzero value (a swap flips the sign): the last pivot is the
+    determinant of the lift, over the product of the row scales.  The pivot
     order is fixed by the values, so the same order is valid near the point
-    and the jets give the exact gradient.  When no nonzero pivot is left the
-    values are singular, and ``det_jet_cofactor`` gives the jet.
+    and the duals give the exact gradient.  When no nonzero pivot is left
+    before the last, the values are singular, and ``det_jet_cofactor`` gives
+    the jet.
     """
     size = len(rows)
-    m = [list(row) for row in rows]
-    out = Jet.constant(1, n)
-    for k in range(size):
-        p = next((i for i in range(k, size) if m[i][k].nums[0]), None)
-        if p is None:
-            return det_jet_cofactor(rows, n)
-        if p != k:
+    if size == 0:
+        return Jet.constant(1, n)
+    m, scales = _lift(rows)
+    sign = 1
+    prev = None
+    for k in range(size - 1):
+        if m[k][k][0] == 0:
+            p = next((i for i in range(k + 1, size) if m[i][k][0]), None)
+            if p is None:
+                return det_jet_cofactor(rows, n)
             m[k], m[p] = m[p], m[k]
-            out = -out
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        out = out * pivot
-        for row in m[k + 1:]:
-            if not any(row[k].nums):
-                continue
-            f = row[k] / pivot
-            for j in range(k + 1, size):
-                row[j] = row[j] - f * pivot_row[j]
-    return out
+            sign = -sign
+        _eliminate(m, k, prev)
+        prev = m[k][k]
+    den = prod(scales)
+    return _cancel([sign * x for x in m[-1][-1]], den, den)
 
 
 def det_jet_cofactor(rows: Sequence[Sequence[Jet]], n: int) -> Jet:

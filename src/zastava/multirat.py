@@ -155,6 +155,8 @@ class MultiPoly(_Fields):
             raise ValueError("operands belong to different rings")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return NotImplemented  # a MultiRat adds by its reflected operator
         self._check(other)
         if not other.terms:
             return self
@@ -179,6 +181,8 @@ class MultiPoly(_Fields):
     def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
         if isinstance(other, (Fraction, int)):
             terms, n2, d2 = (self.terms if other else {}), other.numerator, other.denominator
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented  # a MultiRat multiplies by its reflected operator
         else:
             self._check(other)
             # the product of primitive parts is primitive, and its largest key

@@ -9,6 +9,7 @@ from zastava import cluster
 from zastava.cluster import (
     ExchangeMatrix,
     Seed,
+    block_minors,
     exchange_matrix,
     hankel_minors,
     initial_seed_sl2,
@@ -101,14 +102,15 @@ def test_seed_rejects_wrong_point():
 
 def test_hankel_minors_match_series():
     pt = _pt2()
-    d1, c1, d2, c2 = hankel_minors(pt.w[0], pt.y[0], lambda rows: det(ExactMatrix(rows)))
+    d1, c1, d2, c2 = hankel_minors(pt.w[0], pt.y[0], block_minors(lambda rows: det(ExactMatrix(rows))))
     assert c1 == 1
     assert d2 == -24
     # the symbolic minors, evaluated at the point, agree
     ring = coordinate_ring((2,))
     ws = [ring.rat_var("w1_1"), ring.rat_var("w1_2")]
     ys = [ring.rat_var("y1_1"), ring.rat_var("y1_2")]
-    symbolic = hankel_minors(ws, ys, lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
+    cofactor = block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
+    symbolic = hankel_minors(ws, ys, cofactor)
     assign = coordinate_assignment(pt)
     assert [v.evaluate(assign) for v in symbolic] == [d1, c1, d2, c2]
 
@@ -233,20 +235,38 @@ def test_jets_match_symbolic_oracle():
                 assert list(x.grad) == [d.evaluate(pt) for d in dv]
 
 
-@pytest.mark.parametrize("a", [6, 8])
+def _cofactor_route(pt, a, coords):
+    ws, ys = ([Jet.coordinate(f"{v}1_{r}", pt, coords) for r in range(1, a + 1)]
+              for v in "wy")
+    ref = hankel_minors(ws, ys, block_minors(lambda rows: det_jet_cofactor(rows, len(coords))))
+    return [(x.nums, x.den) for x in ref]
+
+
+@pytest.mark.parametrize("a", [2, 3, 6, 8])
 def test_seed_jets_match_the_cofactor_route(a):
-    """The elimination route of ``det_jet`` gives the rank-one seed's jets
-    exactly as the cofactor reference does, at two sampled points."""
+    """The Bareiss route of ``leading_minors_jet`` gives the rank-one seed's
+    jets exactly as the cofactor reference does, at two sampled points."""
     seed = initial_seed_sl2(None, a)
     coords = BracketTable(A1, (a,), "trigonometric").coordinates
     rng = random.Random(a)
     for _ in range(2):
         pt = sample_chart_point((a,), rng)
-        ws, ys = ([Jet.coordinate(f"{v}1_{r}", pt, coords) for r in range(1, a + 1)]
-                  for v in "wy")
-        ref = hankel_minors(ws, ys, lambda rows: det_jet_cofactor(rows, len(coords)))
         got = seed.jets(pt, coords)
-        assert [(x.nums, x.den) for x in got] == [(x.nums, x.den) for x in ref]
+        assert [(x.nums, x.den) for x in got] == _cofactor_route(pt, a, coords)
+
+
+def test_seed_jets_match_the_cofactor_route_where_pivots_vanish():
+    """With all y equal, c_0 = c_1 = 0 at a = 3, so C_1 = D_1 = 0: each
+    Bareiss pass stops at its first pivot, and ``det_jet`` takes the larger
+    blocks (C_2 by the singular fallback, D_2, D_3 and C_3 by row swaps)."""
+    a = 3
+    seed = initial_seed_sl2(None, a)
+    coords = BracketTable(A1, (a,), "trigonometric").coordinates
+    pt = sample_chart_point((a,), random.Random(5))
+    pt.update({f"y1_{r}": F(-7, 3) for r in range(1, a + 1)})
+    got = seed.jets(pt, coords)
+    assert [x.value == 0 for x in got] == [True, True, False, True, False, False]
+    assert [(x.nums, x.den) for x in got] == _cofactor_route(pt, a, coords)
 
 
 def test_log_canonicity_rejects_the_same_points_on_both_routes(monkeypatch):
@@ -393,11 +413,12 @@ def test_log_canonicity_per_color_hankel_seeds(label, degs):
     """The union of the per-color Hankel minors is log-canonical within a
     color and not across the two adjacent colors."""
     table = BracketTable(datum(label), degs, "trigonometric")
+    cofactor = block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
     labels, variables = [], []
     for i, a in enumerate(degs, start=1):
         ws = [table.var(f"w{i}_{r}") for r in range(1, a + 1)]
         ys = [table.var(f"y{i}_{r}") for r in range(1, a + 1)]
-        variables += hankel_minors(ws, ys, lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
+        variables += hankel_minors(ws, ys, cofactor)
         labels += [f"{i}:{x}{m}" for m in range(1, a + 1) for x in "DC"]
     n = len(labels)
     seed = Seed(labels, variables, ExchangeMatrix(n, (), ((),) * n))

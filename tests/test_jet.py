@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zastava.jet import Jet, det_jet, det_jet_cofactor
+from zastava.jet import Jet, det_jet, det_jet_cofactor, leading_minors_jet
 from zastava.multirat import Ring
 
 R = Ring(("x", "y", "z"))
@@ -124,9 +124,17 @@ def _jet_matrices(draw):
 @given(_jet_matrices())
 @settings(max_examples=120, deadline=None)
 def test_det_jet_elimination_equals_the_cofactor_reference(case):
+    """Both Bareiss routes equal the cofactor reference: ``det_jet`` on the
+    whole matrix and ``leading_minors_jet`` on every leading block, also
+    where a zero pivot value breaks the chain of leading minors."""
     rows, n = case
     got, ref = det_jet(rows, n), det_jet_cofactor(rows, n)
     assert (got.nums, got.den) == (ref.nums, ref.den)
+    minors = leading_minors_jet(rows, n)
+    assert len(minors) == len(rows)
+    for s, got in enumerate(minors, start=1):
+        ref = det_jet_cofactor([row[:s] for row in rows[:s]], n)
+        assert (got.nums, got.den) == (ref.nums, ref.den), s
 
 
 def test_det_jet_swaps_rows_at_a_zero_leading_value():

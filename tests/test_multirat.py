@@ -211,6 +211,20 @@ def test_scaling_by_a_number_matches_the_coerced_route(f, c):
             f / c
 
 
+def test_polynomial_and_rational_operands_mix_either_way():
+    """A MultiPoly leaves a MultiRat operand to the MultiRat's reflected
+    operators: poly o rat equals rat o poly for +, - and *, and both equal
+    the route through the polynomial taken as a MultiRat."""
+    poly = R.var("x") * R.var("y") + R.const(F(1, 2))
+    rat = (x - z) / (y + 1)
+    as_rat = MultiRat(poly, R.const(1))
+    assert poly + rat == rat + poly == as_rat + rat
+    assert poly - rat == -(rat - poly) == as_rat - rat
+    assert poly * rat == rat * poly == as_rat * rat
+    for got in (poly + rat, poly - rat, poly * rat):
+        assert isinstance(got, MultiRat)
+
+
 def test_exponent_overflow_raises():
     with pytest.raises(OverflowError):
         x ** (2**15)
