@@ -136,8 +136,9 @@ def _parse_sizes(text: str) -> list[int]:
 # the values, so the cost grows faster than the length and with the point
 _MAX_MUTATIONS = 1000
 # largest --a that `cluster --check log-canonical` takes (Python 3.11, 2
-# vCPUs): one trial took 6.0 s and 30 MB at a = 24 (0.54-0.59 s and 21 MB
-# at a = 16, 2.0-3.0 s and 25 MB at a = 20)
+# vCPUs): one trial took 7.0-7.7 s and 30 MB at a = 24 (0.56-0.61 s and
+# 21 MB at a = 16, 1.7-2.0 s and 25 MB at a = 20), nearly all of it in the
+# Bareiss passes of the seed jets (the series coefficients take 9 ms at a = 24)
 _LOGCANON_MAX_A = 24
 
 # largest --trials each command takes, for runs of at most about three

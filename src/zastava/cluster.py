@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
-from .jet import Jet, leading_minors_jet
+from .jet import Jet, leading_minors_jet, series_jets
 from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
 from .multirat import MultiRat
 from .points import Tier, ZastavaPoint, coordinate_ring
@@ -49,7 +49,10 @@ class ExchangeMatrix:
                 raise ValueError("column count mismatch")
 
     def entry(self, s: int, r: int) -> int:
-        """b_{s,r} for 1-based positions; zero when r is not a column."""
+        """b_{s,r} for 1-based positions; zero when r is not a column.
+        Raises ValueError for a position outside 1..length."""
+        if not (1 <= s <= self.length and 1 <= r <= self.length):
+            raise ValueError(f"positions ({s}, {r}) outside 1..{self.length}")
         if r not in self.columns:
             return 0
         return self.data[s - 1][self.columns.index(r)]
@@ -195,6 +198,8 @@ def mutate(seed: Seed, k: int) -> Seed:
     x_k replaced by the exchange binomial divided by x_k.  The rule is
     applied to jets at a point, or to the symbolic variables when those are
     read, in one loop over the exchanges made since the unmutated seed."""
+    if not 1 <= k <= seed.matrix.length:
+        raise ValueError(f"position {k} is outside the seed's positions 1..{seed.matrix.length}")
     if k not in seed.matrix.columns:
         raise ValueError(f"position {k} is frozen; mutation undefined")
     kc = seed.matrix.columns.index(k)
@@ -223,18 +228,17 @@ def mutate(seed: Seed, k: int) -> Seed:
 # -- rank-one initial seed ---------------------------------------------------
 
 
-def hankel_minors(ws: Sequence, ys: Sequence, leading_minors: Callable[[list[list]], Sequence]) -> tuple:
-    """(D_1, C_1, ..., D_a, C_a) for a = len(ws): the size-m Hankel
-    determinants (C offset 0, D offset 1) of the closed-form series
-    coefficients (``series_coefficients``).  ``leading_minors`` takes the
-    rows of the a x a Hankel matrix at one offset and returns its leading
-    principal minors of sizes 1..a, so each offset is one call.  The number
-    type is the caller's: ring variables with a cofactor determinant per
-    block (``block_minors``) give the chart functions, coordinate jets with
-    ``leading_minors_jet`` (one Bareiss pass per offset) their jets at a
-    point."""
-    a = len(ws)
-    c = series_coefficients(ws, ys, 2 * a)
+def hankel_minors(c: Sequence, leading_minors: Callable[[list[list]], Sequence]) -> tuple:
+    """(D_1, C_1, ..., D_a, C_a) for series coefficients c = (c_0, ..., c_{2a-1}):
+    the size-m Hankel determinants of c (C offset 0, D offset 1).
+    ``leading_minors`` takes the rows of the a x a Hankel matrix at one
+    offset and returns its leading principal minors of sizes 1..a, so each
+    offset is one call.  The number type is the caller's: the closed-form
+    coefficients of ring variables (``series_coefficients``) with a cofactor
+    determinant per block (``block_minors``) give the chart functions, and
+    their jets at a point (``series_jets``) with ``leading_minors_jet`` (one
+    Bareiss pass per offset) the jets of those functions."""
+    a = len(c) // 2
     d, cc = (leading_minors([[c[j + k + offset] for k in range(a)] for j in range(a)])
              for offset in (1, 0))
     return tuple(x for pair in zip(d, cc) for x in pair)
@@ -271,9 +275,8 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     for m in range(1, a + 1):
         labels += [f"D_{m}", f"C_{m}"]
 
-    def chart(coordinate: Callable[[str], object]) -> tuple[list, list]:
-        return ([coordinate(f"w1_{r}") for r in range(1, a + 1)],
-                [coordinate(f"y1_{r}") for r in range(1, a + 1)])
+    w_names = [f"w1_{r}" for r in range(1, a + 1)]
+    y_names = [f"y1_{r}" for r in range(1, a + 1)]
 
     def build() -> tuple[MultiRat, ...]:
         if a > SYMBOLIC_COFACTOR_CAP:
@@ -282,11 +285,12 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
                 f"SYMBOLIC_COFACTOR_CAP = {SYMBOLIC_COFACTOR_CAP}"
             )
         ring = coordinate_ring((a,))
-        return hankel_minors(*chart(ring.rat_var),
-                             block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor")))
+        c = series_coefficients([ring.rat_var(w) for w in w_names],
+                                [ring.rat_var(y) for y in y_names], 2 * a)
+        return hankel_minors(c, block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor")))
 
     def jets(pt: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
-        return hankel_minors(*chart(lambda name: Jet.coordinate(name, pt, coords)),
+        return hankel_minors(series_jets(pt, coords, w_names, y_names, 2 * a),
                              lambda rows: leading_minors_jet(rows, len(coords)))
 
     return Seed(labels, build, matrix, jets=jets)

@@ -23,6 +23,13 @@ as the result's.  ``nums`` and ``den`` are public: ``cluster`` forms
 brackets on the numerators, where the denominators cancel.  ``value`` and
 ``grad`` read the entries as Fractions.
 
+The series coefficients c_j = sum_r y_r w_r^j / prod_{s != r}(w_r - w_s)
+of the rank-one chart skip the per-operation gcds too: ``series_jets``
+writes each coordinate as an integer dual over one scale (the w over the
+lcm of their denominators), inverts each product of differences P_r by
+its conjugate, 1 / P_r = conj(P_r) / P_r0^2, brings the terms over one
+denominator, and reduces each c_j once.
+
 Determinants of jet matrices skip the per-operation gcds.  Each row is
 lifted to integer duals, the ``nums`` of its entries over the lcm of the
 row's denominators (as ``linalg.solve_linear`` lifts its equations), and
@@ -201,6 +208,69 @@ class Jet:
 
     def __repr__(self) -> str:
         return f"Jet({self.value}, {list(map(str, self.grad))})"
+
+
+def series_jets(point: Mapping[str, Fraction], coords: Sequence[str],
+                w_names: Sequence[str], y_names: Sequence[str], count: int) -> list[Jet]:
+    """The jets of c_0..c_{count-1} = sum_r y_r w_r^j / prod_{s != r}(w_r - w_s)
+    at ``point`` over ``coords``: ``series.series_coefficients`` of the
+    coordinate jets (``Jet.coordinate``), equal in ``(nums, den)``.
+
+    The sums run on integer duals and each c_j is reduced once.  With q
+    the lcm of the w denominators, w_r = W_r / q for W_r = p_r + q eps_{w_r},
+    and y_r = Y_r / v_r for Y_r = u_r + v_r eps_{y_r} (a name not in
+    ``coords`` gets no eps).  With P_r = prod_{s != r}(W_r - W_s), since
+    eps_i eps_j = 0, 1 / P_r = conj(P_r) / P_r0^2 (conj negates the
+    gradient), so t_r = y_r / prod_{s != r}(w_r - w_s) is
+    q^(a-1) Y_r conj(P_r) / (v_r P_r0^2); over G, the lcm of the v_r P_r0^2,
+    t_r = T_r / G with integer duals T_r, and c_j = sum_r T_r W_r^j / (G q^j).
+    The point's values are Fractions or ints.  Raises ZeroDivisionError
+    when two w are equal.
+    """
+    n = len(coords)
+    slot = {name: i for i, name in enumerate(coords, start=1)}
+    w_slots = [slot.get(name) for name in w_names]
+    ws = [point[name] for name in w_names]
+    q = lcm(*(w.denominator for w in ws))
+    ps = [w.numerator * (q // w.denominator) for w in ws]
+    lift = q ** (len(ps) - 1)
+    terms, dens = [], []
+    for r, (p, kr, y_name) in enumerate(zip(ps, w_slots, y_names)):
+        gaps = [(s, p - ps[s]) for s in range(len(ps)) if s != r]
+        p0 = prod(g for _, g in gaps)
+        if p0 == 0:
+            raise ZeroDivisionError("series coefficients at equal w")
+        y = point[y_name]
+        u, v = y.numerator, y.denominator
+        # T_r = q^(a-1) (u P_r0 + v P_r0 eps_y - u dP_r), where
+        # dP_r = sum_{s != r} (P_r0 / (p_r - p_s)) q (eps_{w_r} - eps_{w_s})
+        t = [0] * (n + 1)
+        t[0] = lift * u * p0
+        if (k := slot.get(y_name)) is not None:
+            t[k] += lift * v * p0
+        uq = lift * u * q
+        for s, g in gaps:
+            part = uq * (p0 // g)
+            if kr is not None:
+                t[kr] -= part
+            if (k := w_slots[s]) is not None:
+                t[k] += part
+        terms.append(t)
+        dens.append(v * p0 * p0)
+    den = lcm(*dens)
+    terms = [t if d == den else [x * (den // d) for x in t] for t, d in zip(terms, dens)]
+    out = []
+    for j in range(count):
+        if j:
+            # T_r W_r: every entry times p_r, and q T_r0 into the w_r slot
+            for t, p, k in zip(terms, ps, w_slots):
+                t0 = t[0]
+                t[:] = [x * p for x in t]
+                if k is not None:
+                    t[k] += q * t0
+            den *= q
+        out.append(_cancel([sum(col) for col in zip(*terms)], den, den))
+    return out
 
 
 def _lift(rows: Sequence[Sequence[Jet]]) -> tuple[list[list[list[int]]], list[int]]:

@@ -272,6 +272,12 @@ def test_cluster_caps_the_mutation_list(capsys):
     assert f"above the {cap}" in json.loads(capsys.readouterr().err)["reason"]
 
 
+def test_cluster_refuses_a_mutation_outside_the_positions(capsys):
+    reason = _refused(["cluster", "--a", "2", "--mutations", "9"], capsys)
+    assert reason == "ValueError: position 9 is outside the seed's positions 1..4"
+    assert "frozen" in _refused(["cluster", "--a", "2", "--mutations", "3"], capsys)
+
+
 def test_cluster_prints_values_past_the_default_digit_limit(tmp_path, capsys):
     # int -> str converts at most 4300 digits by default; an exact value is
     # printed whole

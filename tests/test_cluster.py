@@ -22,6 +22,7 @@ from zastava.linalg import ExactMatrix, det
 from zastava.points import ZastavaPoint, coordinate_assignment, coordinate_ring, from_coords
 from zastava.poisson import BracketTable
 from zastava.rootdata import datum
+from zastava.series import series_coefficients
 from zastava.unipoly import UniPoly
 
 A1 = datum("A1")
@@ -44,6 +45,10 @@ def test_exchange_entry_accessor():
     m = exchange_matrix((0, 1, 0, 1), SL2_HAT)
     assert m.entry(3, 1) == 1 and m.entry(1, 2) == 2
     assert m.entry(1, 3) == 0  # position 3 is not exchangeable
+    # a position outside 1..4 is refused, not read from a wrapped row
+    for s, r in ((0, 2), (5, 1), (-1, 1), (1, 0), (1, 5)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            m.entry(s, r)
 
 
 def test_exchange_no_repeats():
@@ -102,7 +107,8 @@ def test_seed_rejects_wrong_point():
 
 def test_hankel_minors_match_series():
     pt = _pt2()
-    d1, c1, d2, c2 = hankel_minors(pt.w[0], pt.y[0], block_minors(lambda rows: det(ExactMatrix(rows))))
+    d1, c1, d2, c2 = hankel_minors(series_coefficients(pt.w[0], pt.y[0], 4),
+                                   block_minors(lambda rows: det(ExactMatrix(rows))))
     assert c1 == 1
     assert d2 == -24
     # the symbolic minors, evaluated at the point, agree
@@ -110,7 +116,7 @@ def test_hankel_minors_match_series():
     ws = [ring.rat_var("w1_1"), ring.rat_var("w1_2")]
     ys = [ring.rat_var("y1_1"), ring.rat_var("y1_2")]
     cofactor = block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor"))
-    symbolic = hankel_minors(ws, ys, cofactor)
+    symbolic = hankel_minors(series_coefficients(ws, ys, 4), cofactor)
     assign = coordinate_assignment(pt)
     assert [v.evaluate(assign) for v in symbolic] == [d1, c1, d2, c2]
 
@@ -156,8 +162,16 @@ def test_mutation_laurent_denominator():
 
 def test_mutate_frozen_rejected():
     seed = initial_seed_sl2(None, 2)
-    with pytest.raises(ValueError):
-        mutate(seed, 3)
+    for k in (3, 4):
+        with pytest.raises(ValueError, match=f"position {k} is frozen"):
+            mutate(seed, k)
+
+
+def test_mutate_outside_the_positions_rejected():
+    seed = initial_seed_sl2(None, 2)
+    for k in (0, -1, 5, 9):
+        with pytest.raises(ValueError, match=f"position {k} is outside the seed's positions 1..4"):
+            mutate(seed, k)
 
 
 def test_log_canonicity_a2():
@@ -238,14 +252,17 @@ def test_jets_match_symbolic_oracle():
 def _cofactor_route(pt, a, coords):
     ws, ys = ([Jet.coordinate(f"{v}1_{r}", pt, coords) for r in range(1, a + 1)]
               for v in "wy")
-    ref = hankel_minors(ws, ys, block_minors(lambda rows: det_jet_cofactor(rows, len(coords))))
+    ref = hankel_minors(series_coefficients(ws, ys, 2 * a),
+                        block_minors(lambda rows: det_jet_cofactor(rows, len(coords))))
     return [(x.nums, x.den) for x in ref]
 
 
 @pytest.mark.parametrize("a", [2, 3, 6, 8])
 def test_seed_jets_match_the_cofactor_route(a):
-    """The Bareiss route of ``leading_minors_jet`` gives the rank-one seed's
-    jets exactly as the cofactor reference does, at two sampled points."""
+    """The seed's jets (``series_jets`` and the Bareiss route of
+    ``leading_minors_jet``) equal the reference route, generic
+    ``series_coefficients`` of coordinate jets with cofactor minors, at two
+    sampled points."""
     seed = initial_seed_sl2(None, a)
     coords = BracketTable(A1, (a,), "trigonometric").coordinates
     rng = random.Random(a)
@@ -418,7 +435,7 @@ def test_log_canonicity_per_color_hankel_seeds(label, degs):
     for i, a in enumerate(degs, start=1):
         ws = [table.var(f"w{i}_{r}") for r in range(1, a + 1)]
         ys = [table.var(f"y{i}_{r}") for r in range(1, a + 1)]
-        variables += hankel_minors(ws, ys, cofactor)
+        variables += hankel_minors(series_coefficients(ws, ys, 2 * a), cofactor)
         labels += [f"{i}:{x}{m}" for m in range(1, a + 1) for x in "DC"]
     n = len(labels)
     seed = Seed(labels, variables, ExchangeMatrix(n, (), ((),) * n))

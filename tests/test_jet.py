@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zastava.jet import Jet, det_jet, det_jet_cofactor, leading_minors_jet
+from zastava.jet import Jet, det_jet, det_jet_cofactor, leading_minors_jet, series_jets
 from zastava.multirat import Ring
+from zastava.series import series_coefficients
 
 R = Ring(("x", "y", "z"))
 COORDS = ("x", "y")  # z is a parameter: no gradient slot
@@ -143,3 +144,55 @@ def test_det_jet_swaps_rows_at_a_zero_leading_value():
     jx, jy = (Jet.coordinate(n, pt, ("x", "y")) for n in "xy")
     d = det_jet([[jy, jx], [jx, Jet.constant(0, 2)]], 2)
     assert (d.value, list(d.grad)) == (F(-4), [F(-4), F(0)])
+
+
+def _series_pair(point, coords, a):
+    """``series_jets`` and the generic ``series_coefficients`` of the
+    coordinate jets, each as (nums, den) pairs."""
+    w_names = [f"w{r}" for r in range(a)]
+    y_names = [f"y{r}" for r in range(a)]
+    got = series_jets(point, coords, w_names, y_names, 2 * a)
+    ref = series_coefficients([Jet.coordinate(w, point, coords) for w in w_names],
+                              [Jet.coordinate(y, point, coords) for y in y_names], 2 * a)
+    return [(x.nums, x.den) for x in got], [(x.nums, x.den) for x in ref]
+
+
+_chart_value = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _series_points(draw):
+    """Distinct w and any y, both with denominators 1..4, at a = 1..8, and
+    coordinates in any order that may omit some w or y and list a name
+    that is neither."""
+    a = draw(st.integers(1, 8))
+    ws = draw(st.lists(_chart_value, min_size=a, max_size=a, unique=True))
+    ys = draw(st.lists(_chart_value, min_size=a, max_size=a))
+    point = {f"w{r}": w for r, w in enumerate(ws)} | {f"y{r}": y for r, y in enumerate(ys)}
+    coords = draw(st.lists(st.sampled_from([*point, "z"]), unique=True))
+    return point, tuple(coords), a
+
+
+@given(_series_points())
+@settings(max_examples=150, deadline=None)
+def test_series_jets_equal_the_generic_route(case):
+    got, ref = _series_pair(*case)
+    assert got == ref
+
+
+def test_series_jets_equal_the_generic_route_at_a_16():
+    a = 16
+    point = {f"w{r}": F(2 * r - 15, 1 + r % 4) for r in range(a)}
+    point |= {f"y{r}": F(7 * r % 19 - 9, 1 + r % 3) for r in range(a)}
+    got, ref = _series_pair(point, tuple(point), a)
+    assert got == ref
+
+
+def test_series_jets_at_a_repeated_w_raise():
+    point = {"w0": F(1, 2), "w1": F(2), "w2": F(2, 4), "y0": F(1), "y1": F(3), "y2": F(-1)}
+    coords = ("w0", "y2")
+    with pytest.raises(ZeroDivisionError):
+        series_jets(point, coords, ["w0", "w1", "w2"], ["y0", "y1", "y2"], 6)
+    with pytest.raises(ZeroDivisionError):  # as the generic route does
+        series_coefficients([Jet.coordinate(w, point, coords) for w in ("w0", "w1", "w2")],
+                            [Jet.coordinate(y, point, coords) for y in ("y0", "y1", "y2")], 6)
