@@ -4,10 +4,12 @@ Covers the three cross-checking determinant routes (fraction-free Bareiss
 on an integer lift, cofactor expansion with memoization, and Bird's
 division-free scheme), Hankel matrices/minors of a Laurent series, the
 Sylvester matrix in the row arrangement used throughout this package, and
-the odd/even sub-resultant minors cut from it.  One integer Bareiss loop,
-``_det_int``, runs behind ``det``, ``solve_linear`` (on the augmented rows),
-the sub-resultants (on the numerators of the Sylvester rows) and the wedge
-windows of ``zastava.minors``.
+the odd/even sub-resultant minors cut from it.  One Bareiss step on integer
+rows, ``_eliminate``, runs behind ``_det_int`` (with row swaps: ``det``,
+``solve_linear`` on the augmented rows, the per-index Hankel minors,
+sub-resultants and wedge windows) and ``_leading_minors`` (without: all
+leading principal minors from one pass, as the three-route crosscheck of
+``zastava.minors`` reads them).
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ class ExactMatrix:
 # -- determinant strategies ---------------------------------------------
 
 
+def _eliminate(a: list[list[int]], k: int, prev: int) -> None:
+    """Bareiss step k in place: right of column k, each entry x of a row
+    below k becomes (x p - f y) / prev, p = a[k][k], f the row's entry in
+    column k, y the pivot row's entry above x; exact, since by Sylvester's
+    identity the quotient is a minor."""
+    pk = a[k]
+    p = pk[k]
+    for ri in a[k + 1 :]:
+        f = ri[k]
+        for j in range(k + 1, len(ri)):
+            ri[j] = (ri[j] * p - f * pk[j]) // prev
+
+
 def _det_int(rows: list[list[int]]) -> int:
     """Determinant of the leading n x n block of n integer rows, by
     fraction-free Bareiss elimination with row swaps; ``rows`` is
@@ -77,15 +92,29 @@ def _det_int(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pk = a[k]
-        p = pk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k]
-            for j in range(k + 1, len(ri)):
-                ri[j] = (ri[j] * p - f * pk[j]) // prev
-        prev = p
+        _eliminate(a, k, prev)
+        prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _leading_minors(rows: list[list[int]]) -> list[int]:
+    """The leading principal minors M_1..M_n of n integer rows, which are
+    overwritten: the pivots of one Bareiss pass without row swaps
+    (Sylvester's identity).  At a zero pivot after k steps, the block of
+    rows and columns k..s-1 has determinant M_s prev^(s-k-1), prev the last
+    pivot (1 at k = 0), and ``_det_int`` takes it for each larger s."""
+    out = []
+    prev = 1
+    for k in range(len(rows)):
+        p = rows[k][k]
+        out.append(p)
+        if p == 0:
+            out += [_det_int([row[k:s] for row in rows[k:s]]) // prev ** (s - k - 1)
+                    for s in range(k + 2, len(rows) + 1)]
+            break
+        _eliminate(rows, k, prev)
+        prev = p
+    return out
 
 
 def _det_bareiss(m: ExactMatrix) -> Fraction:
@@ -214,35 +243,45 @@ def solve_linear(a: ExactMatrix, b: Sequence[Fraction]) -> list[Fraction]:
 
 def hankel_matrix(c: InfSeries, size: int) -> ExactMatrix:
     """The size x size matrix with entry (j,k) = c_{j+k}."""
-    return _hankel(c, size, 0)
+    cs = _hankel_coeffs(c, size, 0)
+    return ExactMatrix([cs[j : j + size] for j in range(size)])
 
 
 def hankel_minor_C(c: InfSeries, r: int) -> Fraction:
     """Principal r x r Hankel minor, det [c_{j+k}]_{j,k=0}^{r-1}."""
-    return det(_hankel(c, r, 0))
+    return _hankel_minor(c, r, 0)
 
 
 def hankel_minor_D(c: InfSeries, r: int) -> Fraction:
     """Shifted r x r Hankel minor, det [c_{j+k+1}]_{j,k=0}^{r-1}."""
-    return det(_hankel(c, r, 1))
+    return _hankel_minor(c, r, 1)
 
 
-def _hankel(c: InfSeries, size: int, offset: int) -> ExactMatrix:
-    """[c_{j+k+offset}] for j, k < size."""
+def _hankel_coeffs(c: InfSeries, size: int, offset: int) -> tuple[Fraction, ...]:
+    """The entries c_offset .. c_{offset+2size-2} of [c_{j+k+offset}]."""
     if size < 1:
         raise ValueError("minor size must be >= 1")
     need = 2 * size - 1 + offset
     if c.order < need:
         raise ValueError(f"need {need} series coefficients, have {c.order}")
-    return ExactMatrix([[c.coeff(j + k + offset) for k in range(size)] for j in range(size)])
+    return c.coeffs[offset:need]
+
+
+def _hankel_minor(c: InfSeries, size: int, offset: int) -> Fraction:
+    """det [c_{j+k+offset}] on the integers c_j d, d the lcm of their
+    denominators."""
+    cs = _hankel_coeffs(c, size, offset)
+    d = lcm(*(x.denominator for x in cs))
+    ns = [x.numerator * (d // x.denominator) for x in cs]
+    return Fraction(_det_int([ns[j : j + size] for j in range(size)]), d**size)
 
 
 # -- Sylvester arrangement and sub-resultants ------------------------------
 
 
-def _sylvester_rows(Q: UniPoly, R: UniPoly) -> tuple[list[list[int]], list[int]]:
-    """The rows of sylvester_matrix(Q, R) as integer numerators, and the
-    denominator of each row (Q.den for the Q-rows, R.den for the R-rows)."""
+def _sylvester_rows(Q: UniPoly, R: UniPoly, rows: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """Rows ``rows`` (0-based) of sylvester_matrix(Q, R) as integer
+    numerators, and their denominators (Q.den for Q-rows, R.den for R-rows)."""
     a = Q.degree
     if a is None or a < 1:
         raise ValueError("Q must have degree >= 1")
@@ -250,13 +289,13 @@ def _sylvester_rows(Q: UniPoly, R: UniPoly) -> tuple[list[list[int]], list[int]]
         raise ValueError("Q must be monic")
     if not R.is_zero and R.degree >= a:
         raise ValueError("R must have degree < deg Q")
-    # Q-row t (t = 1..a-1) holds q_a = Q.den, ..., q_0 from column t on;
-    # R-row u (u = 1..a) holds r_{a-1}, ..., r_0 from column a - u + 1 on
+    # Q-row t (t = 0..a-2) holds q_a = Q.den, ..., q_0 from column t on;
+    # R-row t (t = a-1..2a-2) holds r_{a-1}, ..., r_0 from column 2a-2-t on
     q = list(Q.nums[::-1])
     r = [0] * (a - len(R.nums)) + list(R.nums[::-1])
-    rows = [[0] * (t - 1) + q + [0] * (a - 1 - t) for t in range(1, a)]
-    rows += [[0] * (a - u) + r + [0] * (u - 1) for u in range(1, a + 1)]
-    return rows, [Q.den] * (a - 1) + [R.den] * a
+    out = [[0] * t + q + [0] * (a - 2 - t) if t < a - 1 else [0] * (2 * a - 2 - t) + r + [0] * (t - a + 1)
+           for t in rows]
+    return out, [Q.den if t < a - 1 else R.den for t in rows]
 
 
 def sylvester_matrix(Q: UniPoly, R: UniPoly) -> ExactMatrix:
@@ -266,15 +305,14 @@ def sylvester_matrix(Q: UniPoly, R: UniPoly) -> ExactMatrix:
     R coefficients with r_{a-1} starting at column a and marching left, so
     the bottom row is (r_{a-1}, ..., r_0, 0, ..., 0).
     """
-    rows, dens = _sylvester_rows(Q, R)
+    rows, dens = _sylvester_rows(Q, R, range(2 * len(Q.nums) - 3))  # 2a - 1 rows
     return ExactMatrix([[Fraction(x, d) for x in row] for row, d in zip(rows, dens)])
 
 
 def _sylvester_minor(Q: UniPoly, R: UniPoly, rows: Sequence[int], cols: slice) -> Fraction:
     """det of sylvester_matrix(Q, R) cut to rows x cols, on the numerators."""
-    full, dens = _sylvester_rows(Q, R)
-    num = _det_int([full[i][cols] for i in rows])
-    return Fraction(num, prod(dens[i] for i in rows))
+    kept, dens = _sylvester_rows(Q, R, rows)
+    return Fraction(_det_int([row[cols] for row in kept]), prod(dens))
 
 
 def subresultant_odd(Q: UniPoly, R: UniPoly, i: int) -> Fraction:

@@ -243,16 +243,20 @@ def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict)
     n = len(coords)
     B = [list(row) for row in bivector_matrix(table, point).entries]
     Om = [list(row) for row in symplectic_form_trig(table, point).entries]
-    # B * Omega over the nonzero entries only
-    om_rows = [[(j, v) for j, v in enumerate(row) if v] for row in Om]
+    # B * Omega over the nonzero entries only, each entry of the product
+    # summed as an integer pair (num, den); a Fraction only for a failure
+    om_rows = [[(j, v.numerator, v.denominator) for j, v in enumerate(row) if v] for row in Om]
     bad = []
     for i, row in enumerate(B):
-        got = [0] * n
+        num, den = [0] * n, [1] * n
         for k, b in enumerate(row):
             if b:
-                for j, v in om_rows[k]:
-                    got[j] += b * v
-        bad += [(i, j, g) for j, g in enumerate(got) if g != (1 if i == j else 0)]
+                bn, bd = b.numerator, b.denominator
+                for j, vn, vd in om_rows[k]:
+                    num[j] = num[j] * bd * vd + bn * vn * den[j]
+                    den[j] *= bd * vd
+        bad += [(i, j, Fraction(x, d)) for j, (x, d) in enumerate(zip(num, den))
+                if x != (d if i == j else 0)]
     return {"ok": not bad, "size": n, "bivector": B, "form": Om, "failures": bad}
 
 

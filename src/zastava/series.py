@@ -32,12 +32,20 @@ class InfSeries:
 
 
 def series_expand(R: UniPoly, Q: UniPoly, n: int) -> InfSeries:
-    """First n coefficients of R/Q = c_0/z + c_1/z^2 + ...
+    """First n coefficients of R/Q = c_0/z + c_1/z^2 + ..., as
+    c_j = e_j / (R.den L^(j+1)) from ``series_numerators``."""
+    es = series_numerators(R, Q, n)
+    lead = Q.nums[-1]
+    return InfSeries(tuple(Fraction(e, R.den * lead ** (j + 1)) for j, e in enumerate(es)))
+
+
+def series_numerators(R: UniPoly, Q: UniPoly, n: int) -> list[int]:
+    """The integers e_0..e_{n-1} with c_j = e_j / (R.den L^(j+1)), L the
+    leading numerator of Q (Q.den when Q is monic).
 
     Requires deg R < deg Q.  The recurrence
     c_j = (r_{a-1-j} - sum_{k<j} q_{a+k-j} c_k) / q_a, read off from
-    R = Q * (c_0/z + c_1/z^2 + ...), runs on the numerators: with L the
-    leading numerator of Q, c_j = e_j / (R.den L^(j+1)) for the integers
+    R = Q * (c_0/z + c_1/z^2 + ...), runs on the numerators as
     e_j = r_{a-1-j} Q.den L^j - sum_{k<j} q_{a+k-j} e_k L^(j-k-1).
     """
     if Q.is_zero:
@@ -48,17 +56,15 @@ def series_expand(R: UniPoly, Q: UniPoly, n: int) -> InfSeries:
         raise ValueError("numerator degree must be below denominator degree")
     q, r = Q.nums, R.nums
     lead = q[a]
-    powers = [1]  # L^0 .. L^(j+1)
+    powers = [1]  # L^0 .. L^j
     es: list[int] = []
-    cs: list[Fraction] = []
     for j in range(n):
-        powers.append(powers[-1] * lead)
         acc = r[a - 1 - j] * Q.den * powers[j] if 0 <= a - 1 - j < len(r) else 0
         for k in range(max(0, j - a), j):
             acc -= q[a + k - j] * es[k] * powers[j - k - 1]
         es.append(acc)
-        cs.append(Fraction(acc, R.den * powers[j + 1]))
-    return InfSeries(tuple(cs))
+        powers.append(powers[-1] * lead)
+    return es
 
 
 def series_coefficients(ws: Sequence, ys: Sequence, n: int) -> list:

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .points import ZastavaPoint, boundary_equation_sl2, from_coords
 from .rootdata import datum
-from .unipoly import UniPoly
+from .series import series_numerators
+from .unipoly import UniPoly, _horner
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,21 @@ class SuperValue:
 
 
 def exact_part(point: ZastavaPoint, K: Sequence[UniPoly]) -> Fraction:
-    """sum over colors and roots of y_{i,r} K_i(w_{i,r}) / Q_i'(w_{i,r})."""
+    """sum over colors and roots of y_{i,r} K_i(w_{i,r}) / Q_i'(w_{i,r}),
+    per color by homogeneous integer Horner at each w = p/q, over the lcm
+    of the terms' denominators."""
     if not point.has_coords:
         raise ValueError("coordinate form with distinct roots required")
     total = Fraction(0)
     for i, (ws, ys) in enumerate(zip(point.w, point.y)):
-        dq = point.Q[i].derivative()
-        for wv, yv in zip(ws, ys):
-            total += yv * K[i](wv) / dq(wv)
+        dq, k = point.Q[i].derivative(), K[i]
+        nums, dens = [], []
+        for w, y in zip(ws, ys):
+            p, q = w.numerator, w.denominator
+            nums.append(y.numerator * q ** (len(dq.nums) - 1) * _horner(k.nums, p, q))
+            dens.append(y.denominator * q ** max(len(k.nums) - 1, 0) * _horner(dq.nums, p, q))
+        den = math.lcm(*dens)
+        total += Fraction(dq.den * sum(n * (den // d) for n, d in zip(nums, dens)), k.den * den)
     return total
 
 
@@ -98,10 +106,12 @@ def verify_gw_w(point: ZastavaPoint, data: SuperData) -> dict:
     lhs = exact_part(point, data.K)
     rhs = Fraction(0)
     for i, k in enumerate(data.K):
-        l_i = k.degree
-        c = point.series(i, l_i + 1)
-        for p in range(l_i + 1):
-            rhs += k.coeff(p) * c.coeff(p)
+        # sum_p kappa_p e_p / (R.den L^(p+1)) over K.den R.den L^(l+1), Horner in L
+        R, lead = point.R[i], point.Q[i].nums[-1]
+        acc = 0
+        for c, e in zip(k.nums, series_numerators(R, point.Q[i], len(k.nums))):
+            acc = acc * lead + c * e
+        rhs += Fraction(acc, k.den * R.den * lead ** len(k.nums))
     return {"ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 

@@ -271,23 +271,28 @@ def lagrange_interpolate(nodes: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
     """The unique polynomial of degree < len(nodes) through the given points.
 
     Node abscissae must be pairwise distinct.  With B_r the integer product
-    of (q_s z - p_s) over s != r, the interpolant is sum_r v_r B_r / B_r(w_r).
+    of (q_s z - p_s) over s != r, the interpolant is sum_r v_r B_r / B_r(w_r),
+    its numerators summed over the lcm of the denominators and normalised once.
     """
     ws = [_ratio(w) for w, _ in nodes]
     if len(set(ws)) != len(ws):
         raise ValueError("repeated abscissa in interpolation nodes")
     # the product of all the (q_s z - p_s): primitive, so normalising keeps it whole
     full = UniPoly.from_roots(w for w, _ in nodes).nums
-    result = UniPoly.zero()
+    terms = []  # (q_r^(n-1) v_r B_r numerators, their denominator q_r^(n-1) B_r(w_r))
     for (p, q), (_, v) in zip(ws, nodes):
         vp, vq = _ratio(v)
-        if not vp:
-            continue
-        basis = _div_linear(full, p, q)
-        at_w = _horner(basis, p, q)  # q^(n-1) B_r(w_r)
-        scale = vp * q ** (len(basis) - 1)
-        result = result + _of([c * scale for c in basis], at_w * vq)
-    return result
+        if vp:
+            basis = _div_linear(full, p, q)
+            scale = vp * q ** (len(basis) - 1)
+            terms.append(([c * scale for c in basis], _horner(basis, p, q) * vq))
+    den = lcm(*(d for _, d in terms))
+    out = [0] * (len(full) - 1)
+    for nums, d in terms:
+        m = den // d
+        for k, c in enumerate(nums):
+            out[k] += c * m
+    return _of(out, den)
 
 
 # Largest constant or leading coefficient rational_roots searches the

@@ -193,6 +193,24 @@ def test_det_int_on_augmented_rows(m):
                 solve_linear(ExactMatrix(m), b)
 
 
+_small_square = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_square)
+@example([[0, 1], [1, 0]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+def test_leading_minors_match_cofactor(m):
+    """All leading principal minors from one pass without row swaps; small
+    entries make zero pivots, after which _det_int takes the larger sizes."""
+    from zastava.linalg import _leading_minors
+
+    want = [det(ExactMatrix([row[:s] for row in m[:s]]), strategy="cofactor") for s in range(1, len(m) + 1)]
+    assert _leading_minors([row[:] for row in m]) == want
+
+
 # rationals with small and very wide denominators (up to 2^70)
 _wide = st.builds(
     F,

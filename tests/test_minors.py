@@ -169,6 +169,45 @@ def test_subresultants_equal_hankel_minors(qr):
         assert subresultant_even(Q, R, a - r - 1) == hankel_minor_D(c, r)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_qr_with_boundary())
+@example((UniPoly.from_roots([F(1), F(2), F(3)]), UniPoly([-1, 1]) * UniPoly([2, 5])))
+@example((UniPoly.from_roots([F(0), F(2), F(-3)]), UniPoly([4, -1, 7])))
+@example((UniPoly([1, 0, 0, 0, 1]), UniPoly([0, 1])))
+@example((UniPoly.from_roots([F(1), F(2)]), UniPoly.zero()))
+def test_crosscheck_records_equal_the_per_index_minors(qr):
+    # each family comes from the leading minors of one reordered matrix per
+    # route; at the boundary draws and at sparse Q, R some pivots vanish and
+    # the larger sizes come from the fallback
+    Q, R = qr
+    a = Q.degree
+    c = series_expand(R, Q, 2 * a + 1)
+    g = GMatrix(a=a, F=UniPoly.zero(), D=UniPoly.zero(), R=R, Q=Q)
+    want = [("C", r, hankel_minor_C(c, r), _window_C(r).determinant(g), subresultant_odd(Q, R, a - r))
+            for r in range(1, a + 1)]
+    want += [("D", r, hankel_minor_D(c, r), _window_D(r).determinant(g), subresultant_even(Q, R, a - r - 1))
+             for r in range(1, a)]
+    rep = crosscheck_three_routes(ZastavaPoint(A1, (Q,), (R,)))
+    got = [(x["family"], x["index"], x["hankel"], x["wedge"], x["subresultant"]) for x in rep["records"]]
+    assert got == want and rep["agree"]
+
+
+def test_crosscheck_catches_a_wrong_reorder_sign(monkeypatch):
+    # centre-out orders taken right first keep every leading block but flip
+    # the sign of the window-row permutations at odd r, which the closed
+    # forms do not follow: the routes must disagree, in both families
+    import zastava.minors as minors
+
+    left_first = minors._centre_out
+    monkeypatch.setattr(minors, "_centre_out", lambda items: left_first(list(items)[::-1]))
+    for a in range(2, 6):
+        pt = from_coords(A1, [[F(k) for k in range(1, a + 1)]], [[F(k + 2) for k in range(a)]])
+        rep = crosscheck_three_routes(pt)
+        wrong = {x["family"] for x in rep["records"]
+                 if x["hankel"] != (-1) ** (x["index"] * (x["family"] == "D")) * x["wedge"]}
+        assert not rep["agree"] and wrong == {"C", "D"}, a
+
+
 def test_rank_one_only():
     pt = from_coords(datum("A2"), [[F(2)], [F(5)]], [[F(1)], [F(1)]])
     with pytest.raises(ValueError):
