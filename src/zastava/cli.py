@@ -282,6 +282,12 @@ def cmd_cluster(args) -> int:
             trace["mutations"].append(
                 {"at": k, "matrix": [list(row) for row in current.matrix.data]}
             )
+        if pt is not None:
+            try:
+                values = current.jets(coordinate_assignment(pt), ())
+            except ZeroDivisionError:
+                raise ValueError("a mutated variable is undefined at the point: an exchange "
+                                 "divides by a variable that is 0 there") from None
     ok = True
     if args.check == "log-canonical":
         table = BracketTable(datum("A1"), (args.a,), "trigonometric")
@@ -297,10 +303,7 @@ def cmd_cluster(args) -> int:
         }
         ok = res["ok"]
     if pt is not None:
-        assign = coordinate_assignment(pt)
-        trace["values_at_point"] = {
-            lab: x.value for lab, x in zip(current.labels, current.jets(assign, ()))
-        }
+        trace["values_at_point"] = {lab: x.value for lab, x in zip(current.labels, values)}
     _emit(trace, args.output)
     return 0 if ok else 1
 

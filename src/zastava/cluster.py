@@ -290,8 +290,7 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
         return hankel_minors(c, block_minors(lambda rows: det(ExactMatrix(rows), strategy="cofactor")))
 
     def jets(pt: Mapping[str, Fraction], coords: Sequence[str]) -> tuple[Jet, ...]:
-        return hankel_minors(series_jets(pt, coords, w_names, y_names, 2 * a),
-                             lambda rows: leading_minors_jet(rows, len(coords)))
+        return hankel_minors(series_jets(pt, coords, w_names, y_names, 2 * a), leading_minors_jet)
 
     return Seed(labels, build, matrix, jets=jets)
 

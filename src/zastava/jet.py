@@ -39,11 +39,10 @@ entry it forms is a minor of the lift, so every division by the previous
 pivot is exact, and it is done component by component because that
 pivot's value is nonzero.  The k-th pivot of a pass without row swaps is
 the k-th leading principal minor of the lift, so ``leading_minors_jet``
-reads all leading minors of a matrix from one pass, each reduced once;
-after a zero pivot value it takes the larger blocks by ``det_jet``.
-``det_jet`` runs the pass with row swaps and, when the values are
-singular, falls back to ``det_jet_cofactor`` (Jacobi's formula on
-cofactors), which is also the test reference.
+reads all leading minors of a matrix from one pass, each reduced once.
+After a zero pivot value the pass stops, and each larger leading block is
+taken by ``det_jet_cofactor`` (Jacobi's formula on integer cofactors of
+the block's lift, with no elimination of jets), also the test reference.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix, det
+from .linalg import _det_int
 
 
 def _jet(nums: tuple[int, ...], den: int) -> "Jet":
@@ -311,16 +310,16 @@ def _eliminate(m: list[list[list[int]]], k: int, prev: list[int] | None) -> None
             row[j] = v
 
 
-def leading_minors_jet(rows: Sequence[Sequence[Jet]], n: int) -> list[Jet]:
+def leading_minors_jet(rows: Sequence[Sequence[Jet]]) -> list[Jet]:
     """The jets of the leading principal minors, sizes 1..m, of an m x m
-    matrix of jets with gradients of length n.
+    matrix of jets.
 
     One fraction-free Bareiss pass on the integer-dual lift (``_lift``)
     without row swaps: by Sylvester's identity its k-th pivot is the k-th
     leading minor of the lift, that is the k-th minor times the first k row
     scales, so each minor is that pivot over their product, reduced once.
     A zero pivot value stops the pass, since the next step divides by it;
-    each larger block is then taken by ``det_jet``.
+    each larger block is then taken by ``det_jet_cofactor``.
     """
     size = len(rows)
     m, scales = _lift(rows)
@@ -332,65 +331,34 @@ def leading_minors_jet(rows: Sequence[Sequence[Jet]], n: int) -> list[Jet]:
         scale *= scales[k]
         out.append(_cancel(p, scale, scale))
         if k + 1 < size and p[0] == 0:
-            out += [det_jet([row[:s] for row in rows[:s]], n) for s in range(k + 2, size + 1)]
+            out += [det_jet_cofactor([row[:s] for row in rows[:s]]) for s in range(k + 2, size + 1)]
             break
         _eliminate(m, k, prev)
         prev = p
     return out
 
 
-def det_jet(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
-    """Determinant of a square matrix of jets with gradients of length n.
+def det_jet_cofactor(rows: Sequence[Sequence[Jet]]) -> Jet:
+    """Determinant of a nonempty square matrix of jets by cofactors: the
+    reference for ``leading_minors_jet`` and its route past a zero pivot.
 
-    The Bareiss pass of ``leading_minors_jet`` with row swaps, each pivot
-    chosen by a nonzero value (a swap flips the sign): the last pivot is the
-    determinant of the lift, over the product of the row scales.  The pivot
-    order is fixed by the values, so the same order is valid near the point
-    and the duals give the exact gradient.  When no nonzero pivot is left
-    before the last, the values are singular, and ``det_jet_cofactor`` gives
-    the jet.
+    On the integer-dual lift (``_lift``) the value is the determinant of
+    the values and, by Jacobi's formula d det A = sum_ij cof_ij(A) dA_ij,
+    the gradient is exact for every matrix, singular ones included; the
+    determinant and each cofactor are ``linalg._det_int`` of integer
+    values, and the sums over the product of the row scales are reduced
+    once.
     """
-    size = len(rows)
-    if size == 0:
-        return Jet.constant(1, n)
     m, scales = _lift(rows)
-    sign = 1
-    prev = None
-    for k in range(size - 1):
-        if m[k][k][0] == 0:
-            p = next((i for i in range(k + 1, size) if m[i][k][0]), None)
-            if p is None:
-                return det_jet_cofactor(rows, n)
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        _eliminate(m, k, prev)
-        prev = m[k][k]
-    den = prod(scales)
-    return _cancel([sign * x for x in m[-1][-1]], den, den)
-
-
-def det_jet_cofactor(rows: Sequence[Sequence[Jet]], n: int) -> Jet:
-    """``det_jet`` by cofactors, the reference and the singular fallback.
-
-    The value is the Bareiss determinant of the values.  The gradient is
-    exact for every matrix, singular ones included, by Jacobi's formula
-    d det A = sum_ij cof_ij(A) dA_ij with each cofactor a Bareiss minor.
-    """
-    size = len(rows)
-    values = [[e.value for e in row] for row in rows]
-    value = det(ExactMatrix(values))
-    grad = [Fraction(0)] * n
-    if n == 0 or size == 0:
-        return Jet(value, grad)
-    for i in range(size):
-        keep_rows = [values[r] for r in range(size) if r != i]
-        for j in range(size):
-            cof = det(ExactMatrix([row[:j] + row[j + 1:] for row in keep_rows]))
-            if cof == 0:
+    values = [[e[0] for e in row] for row in m]
+    nums = [_det_int([row[:] for row in values])] + [0] * (len(m[0][0]) - 1)
+    for i, row in enumerate(m):
+        keep = values[:i] + values[i + 1:]
+        for j, e in enumerate(row):
+            if not any(e[1:]):
                 continue
-            if (i + j) % 2:
-                cof = -cof
-            for c, d in enumerate(rows[i][j].grad):
-                if d:
-                    grad[c] += cof * d
-    return Jet(value, grad)
+            cof = (-1) ** (i + j) * _det_int([r[:j] + r[j + 1:] for r in keep])
+            for c in range(1, len(e)):
+                nums[c] += cof * e[c]
+    den = prod(scales)
+    return _cancel(nums, den, den)

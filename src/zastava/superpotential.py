@@ -115,6 +115,10 @@ def verify_gw_w(point: ZastavaPoint, data: SuperData) -> dict:
     return {"ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
+# every distinct p/q with 1 <= p <= 40, 1 <= q <= 4; sorted, so draws ignore the hash seed
+_POSITIVE_VALUES = tuple(sorted({Fraction(p, q) for p in range(1, 41) for q in range(1, 5)}))
+
+
 def positivity_sample(a: int, trials: int, rng: Optional[random.Random] = None) -> dict:
     """Evidence collection for rank-one degree a: sample points with all
     initial cluster variables positive and kappa coefficients in 0..4, and record
@@ -125,23 +129,20 @@ def positivity_sample(a: int, trials: int, rng: Optional[random.Random] = None) 
     of a positive measure on positive support (Akhiezer, *The Classical
     Moment Problem*, 1965): C_m = det V^T diag(mu) V and D_m =
     det V^T diag(mu w) V are positive for m <= a, with no check needed.
+    The w are drawn at once from ``_POSITIVE_VALUES`` without replacement,
+    so a above its 107 values raises ValueError before any draw.
     No theorem is asserted about the signs recorded; the report carries raw
     counts.
     """
+    if a > len(_POSITIVE_VALUES):
+        raise ValueError(f"degree {a} needs {a} distinct w, above the "
+                         f"{len(_POSITIVE_VALUES)} positive values the sampler draws")
     if rng is None:
         rng = random.Random(0)
     dat = datum("A1")
     records = []
-    attempts = 0
-    while len(records) < trials:
-        attempts += 1
-        if attempts > 200 * trials:
-            raise RuntimeError("sampling exhaustion")
-        ws = sorted(
-            {Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(a)}
-        )
-        if len(ws) != a:
-            continue
+    for _ in range(trials):
+        ws = sorted(rng.sample(_POSITIVE_VALUES, a))
         # plain positive y cannot reach the positive region for a >= 2 (the
         # top minor equals -y_1*y_2 at a=2)
         ys = [
@@ -164,7 +165,6 @@ def positivity_sample(a: int, trials: int, rng: Optional[random.Random] = None) 
         )
     return {
         "trials": trials,
-        "attempts": attempts,
         "exact_positive": sum(r["exact_positive"] for r in records),
         "boundary_positive": sum(r["boundary_positive"] for r in records),
         "records": records,

@@ -408,6 +408,18 @@ def test_cluster_point_without_coordinates(tmp_path, capsys):
     assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
+def test_cluster_refuses_a_mutation_undefined_at_the_point(tmp_path, capsys):
+    # all y equal: c_0 = c_1 = 0, so D_1 = 0 and mu_1 divides by it; the
+    # unmutated seed is still defined there
+    pfile = str(tmp_path / "flat3.json")
+    main(["point", "--w", "1,2,3", "--y", "2,2,2", "--trigonometric", "--out", pfile])
+    capsys.readouterr()
+    reason = _refused(["cluster", "--a", "3", "--point", pfile, "--mutations", "1"], capsys)
+    assert "mutated variable is undefined at the point" in reason
+    code, out = _run(["cluster", "--a", "3", "--point", pfile], capsys)
+    assert code == 0 and json.loads(out)["values_at_point"]["D_1"] == "0"
+
+
 def test_bench_command(capsys):
     code, out = _run(
         ["bench", "--family", "hankel", "--sizes", "2,3", "--repeats", "1"], capsys

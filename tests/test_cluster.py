@@ -252,8 +252,7 @@ def test_jets_match_symbolic_oracle():
 def _cofactor_route(pt, a, coords):
     ws, ys = ([Jet.coordinate(f"{v}1_{r}", pt, coords) for r in range(1, a + 1)]
               for v in "wy")
-    ref = hankel_minors(series_coefficients(ws, ys, 2 * a),
-                        block_minors(lambda rows: det_jet_cofactor(rows, len(coords))))
+    ref = hankel_minors(series_coefficients(ws, ys, 2 * a), block_minors(det_jet_cofactor))
     return [(x.nums, x.den) for x in ref]
 
 
@@ -274,8 +273,8 @@ def test_seed_jets_match_the_cofactor_route(a):
 
 def test_seed_jets_match_the_cofactor_route_where_pivots_vanish():
     """With all y equal, c_0 = c_1 = 0 at a = 3, so C_1 = D_1 = 0: each
-    Bareiss pass stops at its first pivot, and ``det_jet`` takes the larger
-    blocks (C_2 by the singular fallback, D_2, D_3 and C_3 by row swaps)."""
+    Bareiss pass stops at its first pivot, and ``det_jet_cofactor`` takes
+    the larger blocks (C_2 singular, D_2, D_3 and C_3 not)."""
     a = 3
     seed = initial_seed_sl2(None, a)
     coords = BracketTable(A1, (a,), "trigonometric").coordinates

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zastava.jet import Jet, det_jet, det_jet_cofactor, leading_minors_jet, series_jets
+from zastava.jet import Jet, det_jet_cofactor, leading_minors_jet, series_jets
 from zastava.multirat import Ring
 from zastava.series import series_coefficients
 
@@ -39,14 +39,24 @@ def test_evaluate_at_jets_raises_at_a_pole():
     assert (x / (x - z)).evaluate(jets).value == 2
 
 
-def test_det_jet_exact_on_singular_matrix():
+def test_leading_minors_jet_exact_on_singular_matrix():
     # det [[x, y], [1, z - 3]] = x(z - 3) - y vanishes at x = 1, y = 2, z = 5
     pt = {"x": F(1), "y": F(2), "z": F(5)}
     jx, jy, jz = (Jet.coordinate(n, pt, ("x", "y", "z")) for n in "xyz")
     one = Jet.constant(1, 3)
-    d = det_jet([[jx, jy], [one, jz - 3]], 3)
+    d = leading_minors_jet([[jx, jy], [one, jz - 3]])[-1]
     assert d.value == 0
     assert list(d.grad) == [F(2), F(-1), F(1)]
+
+
+def test_det_jet_cofactor_on_a_singular_3x3_by_hand():
+    # det [[x, y, 1], [y, x, 1], [1, 1, z]] = z (x^2 - y^2) - 2 (x - y), which
+    # vanishes at x = y = 2, z = 1, with gradient (2 x z - 2, 2 - 2 y z, x^2 - y^2)
+    pt = {"x": F(2), "y": F(2), "z": F(1)}
+    jx, jy, jz = (Jet.coordinate(n, pt, ("x", "y", "z")) for n in "xyz")
+    one = Jet.constant(1, 3)
+    d = det_jet_cofactor([[jx, jy, one], [jy, jx, one], [one, one, jz]])
+    assert (d.nums, d.den) == ((0, 2, -2, 0), 1)
 
 
 def _lowest(j):
@@ -106,7 +116,7 @@ def test_arithmetic_follows_the_chain_rule_in_lowest_terms(pair, c):
         assert _lowest(got[op]), op
 
 
-# jet entries with many zero values, so that pivots vanish and rows swap
+# jet entries with many zero values, so that pivots vanish
 _small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
 
 
@@ -122,27 +132,44 @@ def _jet_matrices(draw):
     return rows, n
 
 
+def _zero_pivot(size, k):
+    """A size x size matrix of jets over one coordinate x = 1 whose k-th
+    leading minor has value 0 and whose other leading minors do not: the
+    identity with its (k - 1, k - 1) entry x - 1 and, below k, x in the
+    superdiagonal and subdiagonal entries."""
+    x = Jet.coordinate("x", {"x": F(1)}, ("x",))
+    rows = [[Jet.constant(int(i == j), 1) for j in range(size)] for i in range(size)]
+    rows[k - 1][k - 1] = x - 1
+    for i in range(k, size):
+        rows[i - 1][i] = rows[i][i - 1] = x
+    return rows, 1
+
+
 @given(_jet_matrices())
 @settings(max_examples=120, deadline=None)
-def test_det_jet_elimination_equals_the_cofactor_reference(case):
-    """Both Bareiss routes equal the cofactor reference: ``det_jet`` on the
-    whole matrix and ``leading_minors_jet`` on every leading block, also
-    where a zero pivot value breaks the chain of leading minors."""
+@example(_zero_pivot(3, 1))  # at the first pivot
+@example(_zero_pivot(4, 2))  # mid-pass
+@example(_zero_pivot(4, 4))  # at the last pivot, where the pass ends anyway
+def test_leading_minors_jet_equals_the_cofactor_reference(case):
+    """``leading_minors_jet`` equals the cofactor reference on every
+    leading block, also past a zero pivot value, where the blocks come from
+    the reference itself."""
     rows, n = case
-    got, ref = det_jet(rows, n), det_jet_cofactor(rows, n)
-    assert (got.nums, got.den) == (ref.nums, ref.den)
-    minors = leading_minors_jet(rows, n)
+    minors = leading_minors_jet(rows)
     assert len(minors) == len(rows)
     for s, got in enumerate(minors, start=1):
-        ref = det_jet_cofactor([row[:s] for row in rows[:s]], n)
+        ref = det_jet_cofactor([row[:s] for row in rows[:s]])
+        assert len(got.nums) == n + 1
         assert (got.nums, got.den) == (ref.nums, ref.den), s
 
 
-def test_det_jet_swaps_rows_at_a_zero_leading_value():
-    # det [[y, x], [x, 0]] = -x^2 at x = 2, y = 0: the first pivot is below
+def test_leading_minors_jet_past_a_zero_leading_value():
+    # det [[y, x], [x, 0]] = -x^2 at x = 2, y = 0: the first pivot vanishes,
+    # and the second minor comes from the cofactor route
     pt = {"x": F(2), "y": F(0), "z": F(0)}
     jx, jy = (Jet.coordinate(n, pt, ("x", "y")) for n in "xy")
-    d = det_jet([[jy, jx], [jx, Jet.constant(0, 2)]], 2)
+    first, d = leading_minors_jet([[jy, jx], [jx, Jet.constant(0, 2)]])
+    assert first.value == 0
     assert (d.value, list(d.grad)) == (F(-4), [F(-4), F(0)])
 
 

@@ -130,3 +130,12 @@ def test_positivity_sample_draws_positive_minors(monkeypatch):
             c = pt.series(0, 2 * a + 1)
             assert all(hankel_minor_C(c, m) > 0 and hankel_minor_D(c, m) > 0
                        for m in range(1, a + 1))
+
+
+def test_positivity_sample_refuses_more_w_than_its_table():
+    # 107 distinct positive p/q with p <= 40, q <= 4; the refusal comes before any draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        positivity_sample(108, trials=1, rng=rng)
+    assert rng.getstate() == state
