@@ -42,7 +42,6 @@ from .poisson import (
 from .cluster import (
     ExchangeMatrix,
     Seed,
-    exchange_matrix,
     initial_seed_sl2,
     log_canonicity_check,
     mutate,

@@ -140,6 +140,14 @@ _MAX_MUTATIONS = 1000
 # 21 MB at a = 16, 1.7-2.0 s and 25 MB at a = 20), nearly all of it in the
 # Bareiss passes of the seed jets (the series coefficients take 9 ms at a = 24)
 _LOGCANON_MAX_A = 24
+# largest --a that `cluster` takes at all.  The trace prints the 2a x (2a - 2)
+# matrix once for the seed and once per mutation, about 105 bytes of peak
+# memory per entry (Python 3.11, 2 vCPUs): with the longest --mutations list,
+# alternating 1,2, a = 25 took 3.2-4.4 s and 266 MB (a = 32: 4.8 s and 422 MB,
+# a = 50: 12 s and 1.0 GB); with a --point at w = 1..25 as well, 33 s and
+# 266 MB, nearly all of it in the exchanges of the growing values.  The
+# seed alone is cheap (a = 500: 1.3 s and 118 MB), but takes the same cap
+_CLUSTER_MAX_A = 25
 
 # largest --trials each command takes, for runs of at most about three
 # minutes at the largest size the command allows (Python 3.11, 2 vCPUs):
@@ -266,6 +274,8 @@ def cmd_cluster(args) -> int:
         if args.check == "log-canonical" and args.a > _LOGCANON_MAX_A:
             raise ValueError(f"--check log-canonical takes --a up to {_LOGCANON_MAX_A}, "
                              f"not {args.a}")
+        if args.a > _CLUSTER_MAX_A:
+            raise ValueError(f"cluster takes --a up to {_CLUSTER_MAX_A}, not {args.a}")
         pt = recover_coords(ZastavaPoint.load(args.point)) if args.point else None
         seed = initial_seed_sl2(pt, args.a)
         trace = {

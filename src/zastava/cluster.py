@@ -1,11 +1,10 @@
-"""Cluster seeds from reduced words, mutation, and log-canonicity testing.
+"""Cluster seeds, mutation, and log-canonicity testing.
 
-The exchange matrix of a word has one row per letter position and one
-column per position whose letter recurs later; the defining rule puts +1
-between a position and its next recurrence and Cartan entries between
-interleaved positions.  For rank-one points the initial seed consists of
-the Hankel-minor functions of the series expansion, interleaved along the
-word (0,1)^a, with the last two positions frozen.
+An exchange matrix has one row per seed position and one column per
+exchangeable position.  For rank-one points the initial seed consists of
+the Hankel-minor functions of the series expansion, D_m at position 2m - 1
+and C_m at 2m, with D_a and C_a frozen; its exchange matrix is a closed form
+(``initial_seed_sl2``) compatible with the trigonometric Poisson bracket.
 
 Seeds are evaluated at points as exact jets (value and gradient); the
 symbolic chart functions are built only on request.
@@ -26,7 +25,6 @@ from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
 from .multirat import MultiRat
 from .points import Tier, ZastavaPoint, coordinate_ring
 from .poisson import BracketTable
-from .rootdata import datum
 from .series import series_coefficients
 
 JetEvaluator = Callable[[Mapping[str, Fraction], Sequence[str]], tuple[Jet, ...]]
@@ -34,8 +32,8 @@ JetEvaluator = Callable[[Mapping[str, Fraction], Sequence[str]], tuple[Jet, ...]
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Rectangular integer matrix: rows are word positions 1..l, columns
-    the exchangeable positions (those with a later recurrence)."""
+    """Rectangular integer matrix: rows are the seed positions 1..length,
+    columns the exchangeable positions."""
 
     length: int
     columns: tuple[int, ...]
@@ -57,14 +55,6 @@ class ExchangeMatrix:
             return 0
         return self.data[s - 1][self.columns.index(r)]
 
-    def exchangeable_block(self) -> list[list[int]]:
-        return [[self.entry(s, r) for r in self.columns] for s in self.columns]
-
-    def is_block_skew_symmetric(self) -> bool:
-        blk = self.exchangeable_block()
-        n = len(blk)
-        return all(blk[i][j] == -blk[j][i] for i in range(n) for j in range(n))
-
     def mutate(self, k: int) -> "ExchangeMatrix":
         """Standard matrix mutation at an exchangeable position k."""
         if k not in self.columns:
@@ -85,46 +75,6 @@ class ExchangeMatrix:
                     row.append(b + s * max(0, bik * bkj))
             new.append(tuple(row))
         return ExchangeMatrix(self.length, self.columns, tuple(new))
-
-
-def exchange_matrix(word: Sequence[int], cartan: Sequence[Sequence[int]]) -> ExchangeMatrix:
-    """Build the exchange matrix of a word in the letters of a Cartan matrix.
-
-    With s+ the next position carrying the same letter as s:
-    b_{s+,s} = 1 and b_{s,s+} = -1; for s < r < s+ where the letter at r
-    does not recur strictly before s+, b_{s,r} = -C_{i_s,i_r} and
-    b_{r,s} = C_{i_r,i_s}.  Entries whose column position is not
-    exchangeable are dropped.
-    """
-    if not word:
-        raise ValueError("word must be nonempty")
-    l = len(word)
-    succ: dict[int, int] = {}
-    for s in range(1, l + 1):
-        for r in range(s + 1, l + 1):
-            if word[r - 1] == word[s - 1]:
-                succ[s] = r
-                break
-    columns = tuple(sorted(succ))
-    b: dict[tuple[int, int], int] = {}
-
-    def put(s: int, r: int, v: int) -> None:
-        if r in succ:
-            b[(s, r)] = b.get((s, r), 0) + v
-
-    for s, sp in succ.items():
-        put(sp, s, 1)
-        put(s, sp, -1)
-        for r in range(s + 1, sp):
-            if r in succ and succ[r] < sp:
-                continue
-            i_s, i_r = word[s - 1], word[r - 1]
-            put(s, r, -cartan[i_s][i_r])
-            put(r, s, cartan[i_r][i_s])
-    data = tuple(
-        tuple(b.get((s, r), 0) for r in columns) for s in range(1, l + 1)
-    )
-    return ExchangeMatrix(l, columns, data)
 
 
 class Seed:
@@ -150,7 +100,7 @@ class Seed:
         self.labels = tuple(labels)
         self.matrix = matrix
         if len(self.labels) != matrix.length:
-            raise ValueError("one variable per word position required")
+            raise ValueError("one variable per seed position required")
         if callable(variables):
             self._build, self._variables = variables, None
         else:
@@ -160,7 +110,7 @@ class Seed:
     def _checked(self, variables: Sequence[MultiRat]) -> tuple[MultiRat, ...]:
         variables = tuple(variables)
         if len(variables) != self.matrix.length:
-            raise ValueError("one variable per word position required")
+            raise ValueError("one variable per seed position required")
         return variables
 
     @property
@@ -253,10 +203,17 @@ def block_minors(determinant: Callable[[list[list]], object]) -> Callable[[list[
 
 def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     """Seed for a rank-one point of degree a: variables
-    [D_1, C_1, D_2, C_2, ..., D_a, C_a] along the word (0,1)^a, with the
-    last two positions frozen.  (0,1)^a is the reduced word of the
-    translation t_a in the affine Weyl group of type A1 (length 2a), read
-    with the Cartan matrix of ``datum("A1-affine")``.  Jets
+    [D_1, C_1, D_2, C_2, ..., D_a, C_a], D_m at position 2m - 1 and C_m at
+    2m, with D_a and C_a frozen.  The exchange matrix is the first 2a - 2
+    columns of the integer skew-symmetric B whose nonzero entries are
+    b(D_m, C_m) = 2 for m < a, b(D_a, C_a) = 1, b(D_m, D_{m+1}) = 1,
+    b(D_m, C_{m+1}) = -2, b(C_m, C_{m+1}) = 1, and their negatives at the
+    transposed positions (b(D_a, C_a) lies in the frozen columns, which
+    the exchange matrix leaves out).  With D_0 = C_0 = 1 the exchanges are
+    D_m D_m' = D_{m-1} C_{m+1}^2 + C_m^2 D_{m+1} and
+    C_m C_m' = C_{m-1} D_m^2 + D_{m-1}^2 C_{m+1}, and the seed is
+    compatible with the trigonometric bracket: B~^T Omega = [I 0], with
+    Omega the constants {x, x'}/(x x') of ``log_canonicity_check``.  Jets
     and the symbolic variables both come from ``hankel_minors``; the
     symbolic ones are built only when read, and reading them raises
     ValueError when a exceeds SYMBOLIC_COFACTOR_CAP, before any minor is
@@ -269,8 +226,12 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
             raise ValueError("point must be rank-one of the given degree")
         if point.tier is not Tier.TRIGONOMETRIC:
             raise ValueError("point must lie on the trigonometric tier")
-    word = (0, 1) * a
-    matrix = exchange_matrix(word, datum("A1-affine").cartan)
+    n = 2 * a
+    b = [[0] * n for _ in range(n)]
+    for k in range(0, n - 2, 2):  # D_m in row k, C_m in row k + 1, for m < a
+        for i, j, v in ((k, k + 1, 2), (k, k + 2, 1), (k, k + 3, -2), (k + 1, k + 3, 1)):
+            b[i][j], b[j][i] = v, -v
+    matrix = ExchangeMatrix(n, tuple(range(1, n - 1)), tuple(tuple(row[:n - 2]) for row in b))
     labels = []
     for m in range(1, a + 1):
         labels += [f"D_{m}", f"C_{m}"]

@@ -113,18 +113,23 @@ def test_criterion_06_descent():
 
 
 def test_criterion_07_exchange_matrix():
-    from zastava.cluster import exchange_matrix
-
-    cartan = [[2, -2], [-2, 2]]
-    m = exchange_matrix((0, 1, 0, 1), cartan)
-    ok = m.data == ((0, 2), (-2, 0), (1, -2), (0, 1))
-    ok &= m.exchangeable_block() == [[0, 2], [-2, 0]]
+    ok = initial_seed_sl2(None, 2).matrix.data == ((0, 2), (-2, 0), (-1, 0), (2, -1))
     for a in range(1, 6):
-        ma = exchange_matrix((0, 1) * a, cartan)
-        ok &= ma.is_block_skew_symmetric()
+        # the closed form by labels: b(D_m, C_m) = 2 (1 at m = a), b(D_m, D_{m+1}) = 1,
+        # b(D_m, C_{m+1}) = -2, b(C_m, C_{m+1}) = 1, skew-symmetric
+        b = {(f"D_{a}", f"C_{a}"): 1}
+        for m in range(1, a):
+            b.update({(f"D_{m}", f"C_{m}"): 2, (f"D_{m}", f"D_{m + 1}"): 1,
+                      (f"D_{m}", f"C_{m + 1}"): -2, (f"C_{m}", f"C_{m + 1}"): 1})
+        b.update({(l, k): -v for (k, l), v in list(b.items())})
+        seed = initial_seed_sl2(None, a)
+        ma, labels = seed.matrix, seed.labels
+        ok &= all(ma.entry(s, r) == b.get((labels[s - 1], labels[r - 1]), 0)
+                  for s in range(1, 2 * a + 1) for r in ma.columns)
+        ok &= all(ma.entry(s, r) == -ma.entry(r, s) for s in ma.columns for r in ma.columns)
         for k in ma.columns:
             ok &= ma.mutate(k).mutate(k) == ma
-    _report(7, "exchange matrix, skew block, involutive mutation", ok)
+    _report(7, "closed-form exchange matrix, skew block, involutive mutation", ok)
 
 
 def test_criterion_08_log_canonicity():

@@ -231,11 +231,15 @@ def test_cluster_command(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["labels"] == ["D_1", "C_1", "D_2", "C_2"]
-    assert data["values_at_point"]["mu_2(C_1)"] == "376"
+    assert data["matrix"] == [[0, 2], [-2, 0], [-1, 0], [2, -1]]
+    # C_1 C_1' = D_1^2 + C_2 and D_1 D_1' = C_2^2 + C_1^2 D_2 at D_1, C_1, D_2, C_2 = 5, 1, -24, -8
+    assert data["values_at_point"]["mu_2(C_1)"] == "17"
+    code, out = _run(["cluster", "--a", "2", "--point", pfile, "--mutations", "1"], capsys)
+    assert code == 0 and json.loads(out)["values_at_point"]["mu_1(D_1)"] == "8"
 
     # the log-canonicity check applies to the seed as built; the initial
-    # seed passes, the mutated one does not (the bracket is not
-    # mutation-compatible)
+    # seed and the mutated one both pass (the matrix is compatible with
+    # the bracket)
     code, out = _run(
         ["cluster", "--a", "2", "--check", "log-canonical", "--trials", "3"],
         capsys,
@@ -245,7 +249,7 @@ def test_cluster_command(tmp_path, capsys):
         ["cluster", "--a", "2", "--mutations", "2", "--check", "log-canonical",
          "--trials", "3"], capsys
     )
-    assert code == 1 and not json.loads(out)["log_canonical"]["ok"]
+    assert code == 0 and json.loads(out)["log_canonical"]["ok"]
 
 
 def test_cluster_long_mutation_sequence(tmp_path, capsys):
@@ -285,7 +289,7 @@ def test_cluster_prints_values_past_the_default_digit_limit(tmp_path, capsys):
     main(["point", "--w", "1/7,3", "--y", "1000003,-999", "--out", pfile])
     capsys.readouterr()
     code, out = _run(["cluster", "--a", "2", "--point", pfile,
-                      "--mutations", ",".join(["1", "2"] * 100)], capsys)
+                      "--mutations", ",".join(["1", "2"] * 300)], capsys)
     assert code == 0
     assert max(map(len, json.loads(out)["values_at_point"].values())) > 4300
 
@@ -299,6 +303,18 @@ def test_cluster_caps_the_log_canonical_degree(capsys):
         main(["cluster", "--a", str(cap + 1), "--check", "log-canonical"])
     assert exc.value.code == 2
     assert f"up to {cap}" in json.loads(capsys.readouterr().err)["reason"]
+
+
+def test_cluster_caps_the_degree(capsys):
+    # the cap holds with or without --check, and past it nothing is printed
+    cap = cli._CLUSTER_MAX_A
+    assert cap > cli._LOGCANON_MAX_A
+    code, out = _run(["cluster", "--a", str(cap)], capsys)
+    assert code == 0 and len(json.loads(out)["labels"]) == 2 * cap
+    reason = _refused(["cluster", "--a", str(cap + 1)], capsys)
+    assert reason == f"ValueError: cluster takes --a up to {cap}, not {cap + 1}"
+    assert "log-canonical" in _refused(["cluster", "--a", "1000", "--check", "log-canonical"],
+                                       capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,6 @@ from zastava.cluster import (
     ExchangeMatrix,
     Seed,
     block_minors,
-    exchange_matrix,
     hankel_minors,
     initial_seed_sl2,
     log_canonicity_check,
@@ -26,24 +25,43 @@ from zastava.series import series_coefficients
 from zastava.unipoly import UniPoly
 
 A1 = datum("A1")
-SL2_HAT = [[2, -2], [-2, 2]]
+# the exchange matrix that the reduced word (0, 1, 0, 1), read with the
+# affine A1 Cartan matrix, gives the a = 2 seed; it is not compatible with
+# the bracket, so mutations under it are negative controls
+WORD_A2 = ExchangeMatrix(4, (1, 2), ((0, 2), (-2, 0), (1, -2), (0, 1)))
 
 
 def _pt2():
     return from_coords(A1, [[F(1), F(3)]], [[F(2), F(4)]])
 
 
+def _closed_form(a):
+    """The nonzero b(k, l) of the rank-one seed matrix B, keyed by positions
+    (D_m at 2m - 1, C_m at 2m)."""
+    d, c = (lambda m: 2 * m - 1), (lambda m: 2 * m)
+    b = {(d(a), c(a)): 1}
+    for m in range(1, a):
+        b.update({(d(m), c(m)): 2, (d(m), d(m + 1)): 1, (d(m), c(m + 1)): -2,
+                  (c(m), c(m + 1)): 1})
+    b.update({(l, k): -v for (k, l), v in list(b.items())})
+    return b
+
+
+def _word_seed(seed):
+    """The a = 2 seed's variables and jets under ``WORD_A2``."""
+    return Seed(seed.labels, lambda: seed.variables, WORD_A2, jets=seed.jets)
+
+
 def test_exchange_matrix_example():
-    m = exchange_matrix((0, 1, 0, 1), SL2_HAT)
+    m = initial_seed_sl2(None, 2).matrix
     assert m.columns == (1, 2)
-    assert m.data == ((0, 2), (-2, 0), (1, -2), (0, 1))
-    assert m.exchangeable_block() == [[0, 2], [-2, 0]]
-    assert m.is_block_skew_symmetric()
+    assert m.data == ((0, 2), (-2, 0), (-1, 0), (2, -1))
+    assert [[m.entry(s, r) for r in m.columns] for s in m.columns] == [[0, 2], [-2, 0]]
 
 
 def test_exchange_entry_accessor():
-    m = exchange_matrix((0, 1, 0, 1), SL2_HAT)
-    assert m.entry(3, 1) == 1 and m.entry(1, 2) == 2
+    m = initial_seed_sl2(None, 2).matrix
+    assert m.entry(3, 1) == -1 and m.entry(1, 2) == 2
     assert m.entry(1, 3) == 0  # position 3 is not exchangeable
     # a position outside 1..4 is refused, not read from a wrapped row
     for s, r in ((0, 2), (5, 1), (-1, 1), (1, 0), (1, 5)):
@@ -52,26 +70,77 @@ def test_exchange_entry_accessor():
 
 
 def test_exchange_no_repeats():
+    # at a = 1 both variables are frozen
     with pytest.raises(ValueError):
-        exchange_matrix((), SL2_HAT)
-    m = exchange_matrix((0, 1), SL2_HAT)
+        initial_seed_sl2(None, 0)
+    m = initial_seed_sl2(None, 1).matrix
     assert m.columns == ()
     assert m.data == ((), ())
 
 
 def test_exchange_longer_word_skew():
-    for a in (2, 3, 4):
-        m = exchange_matrix((0, 1) * a, SL2_HAT)
-        assert m.is_block_skew_symmetric()
+    """Every entry is the closed form's, so the exchangeable block is skew."""
+    for a in (2, 3, 4, 8):
+        m = initial_seed_sl2(None, a).matrix
         assert m.columns == tuple(range(1, 2 * a - 1))
+        b = _closed_form(a)
+        assert all(m.entry(s, r) == b.get((s, r), 0)
+                   for s in range(1, 2 * a + 1) for r in m.columns)
+        assert all(m.entry(s, r) == -m.entry(r, s) for s in m.columns for r in m.columns)
 
 
 def test_matrix_mutation_involution():
-    m = exchange_matrix((0, 1) * 3, SL2_HAT)
+    m = initial_seed_sl2(None, 3).matrix
     for k in m.columns:
         assert m.mutate(k).mutate(k) == m
     with pytest.raises(ValueError):
         m.mutate(m.length)
+
+
+@pytest.mark.parametrize("a", range(2, 9))
+def test_initial_seed_is_compatible_with_the_bracket(a):
+    """B~^T Omega = [I 0], with Omega_kl = {x_k, x_l}/(x_k x_l) read at one
+    point (the seed is log-canonical, so one point gives every constant)."""
+    seed = initial_seed_sl2(None, a)
+    table = BracketTable(A1, (a,), "trigonometric")
+    rep = log_canonicity_check(seed, table, trials=1, rng=random.Random(a))
+    n = 2 * a
+    omega = [[0] * n for _ in range(n)]
+    for p in rep["pairs"]:
+        k, l = (seed.labels.index(x) for x in p["pair"])
+        omega[k][l], omega[l][k] = p["values"][0], -p["values"][0]
+    b = seed.matrix.data
+    product = [[sum(b[s][i] * omega[s][j] for s in range(n)) for j in range(n)]
+               for i in range(n - 2)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n - 2)]
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5])
+def test_every_one_step_mutation_is_log_canonical(a):
+    seed = initial_seed_sl2(None, a)
+    table = BracketTable(A1, (a,), "trigonometric")
+    for k in seed.exchangeable:
+        rep = log_canonicity_check(mutate(seed, k), table, trials=3, rng=random.Random(k))
+        assert rep["ok"], k
+        if a == 2:  # negative control: under the word matrix each mutation fails
+            rep = log_canonicity_check(mutate(_word_seed(seed), k), table, trials=3,
+                                       rng=random.Random(k))
+            assert not rep["ok"], k
+
+
+def test_exchange_relations_at_a_point():
+    """With D_0 = C_0 = 1: D_m D_m' = D_{m-1} C_{m+1}^2 + C_m^2 D_{m+1} and
+    C_m C_m' = C_{m-1} D_m^2 + D_{m-1}^2 C_{m+1}."""
+    for a in (2, 3, 5):
+        seed = initial_seed_sl2(None, a)
+        pt = sample_chart_point((a,), random.Random(a))
+        x = [j.value for j in seed.jets(pt, ())]
+        d, c = [1] + x[0::2], [1] + x[1::2]
+        for m in range(1, a):
+            d_new = mutate(seed, 2 * m - 1).jets(pt, ())[2 * m - 2].value
+            c_new = mutate(seed, 2 * m).jets(pt, ())[2 * m - 1].value
+            assert d[m] * d_new == d[m - 1] * c[m + 1] ** 2 + c[m] ** 2 * d[m + 1]
+            assert c[m] * c_new == c[m - 1] * d[m] ** 2 + d[m - 1] ** 2 * c[m + 1]
 
 
 def test_initial_seed_structure():
@@ -126,10 +195,12 @@ def test_mutation_value():
     seed = initial_seed_sl2(pt, 2)
     mut = mutate(seed, 2)
     assign = coordinate_assignment(pt)
-    # exchange relation at C_1: C_1 * C_1' = D_1^2 C_2 + D_2^2
-    assert mut.variable(2).evaluate(assign) == F(376)
+    # exchange relation at C_1: C_1 * C_1' = D_1^2 + C_2, so (25 - 8)/1
+    assert mut.variable(2).evaluate(assign) == F(17)
     assert mut.labels[1] == "mu_2(C_1)"
     assert mut.labels[0] == "D_1"
+    # control: under the word matrix C_1 * C_1' = D_1^2 C_2 + D_2^2
+    assert mutate(_word_seed(seed), 2).variable(2).evaluate(assign) == F(376)
 
 
 def test_seed_mutation_involution():
@@ -145,8 +216,8 @@ def test_seed_mutation_involution():
 
 def test_mutation_laurent_denominator():
     seed = initial_seed_sl2(None, 2)
-    mut = mutate(seed, 2)
-    expr = mut.variable(2) * seed.variable(2)
+    expr = mutate(seed, 2).variable(2) * seed.variable(2)
+    word_expr = mutate(_word_seed(seed), 2).variable(2) * seed.variable(2)
     rng = random.Random(8)
     # C_1 * mu(C_1) equals a polynomial in the other seed variables
     done = 0
@@ -155,9 +226,9 @@ def test_mutation_laurent_denominator():
         if seed.variable(2).evaluate(assign) == 0:
             continue
         done += 1
-        lhs = expr.evaluate(assign)
         d1, c2, d2 = (seed.variable(s).evaluate(assign) for s in (1, 4, 3))
-        assert lhs == d1 * d1 * c2 + d2 * d2
+        assert expr.evaluate(assign) == d1 * d1 + c2
+        assert word_expr.evaluate(assign) == d1 * d1 * c2 + d2 * d2  # control
 
 
 def test_mutate_frozen_rejected():
@@ -311,13 +382,15 @@ def test_log_canonicity_rejects_the_same_points_on_both_routes(monkeypatch):
 
 
 def _recorded_seeds():
+    """The recorded mutations are taken under ``WORD_A2``: negative controls."""
     seed = initial_seed_sl2(None, 2)
+    word = _word_seed(seed)
     ring = seed.variables[0].ring
     bad = ring.rat_var("w1_1") + ring.rat_const(1)
     return {
         "initial": seed,
-        "mu_2": mutate(seed, 2),
-        "mu_1,2": mutate(mutate(seed, 1), 2),
+        "mu_2": mutate(word, 2),
+        "mu_1,2": mutate(mutate(word, 1), 2),
         "spoiled": Seed(seed.labels, (bad,) + seed.variables[1:], seed.matrix),
     }
 
@@ -371,7 +444,12 @@ def test_log_canonicity_negative_control_closed_form(a):
 
 
 def test_initial_seed_matrix_is_the_affine_a1_one():
-    assert initial_seed_sl2(None, 3).matrix == exchange_matrix((0, 1) * 3, SL2_HAT)
+    """At a = 2 the exchangeable block is the Kronecker quiver: its Cartan
+    companion is the affine A1 Cartan matrix."""
+    m = initial_seed_sl2(None, 2).matrix
+    companion = tuple(tuple(2 if s == r else -abs(m.entry(s, r)) for r in m.columns)
+                      for s in m.columns)
+    assert companion == datum("A1-affine").cartan
 
 
 def test_chart_values_are_a_sorted_table():
