@@ -319,10 +319,10 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_super(args) -> int:
-    with _reading():
-        pt = ZastavaPoint.load(args.point)
+    with _reading():  # a point whose Q does not split, or a K list of the wrong length
+        pt = recover_coords(ZastavaPoint.load(args.point))
         data = SuperData(tuple(parse_poly(t) for t in args.K.split(";")))
-    val = eval_gw(pt, data)
+        val = eval_gw(pt, data)
     out = {
         "exact_part": val.exact_part,
         "boundary": val.boundary,

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .jet import Jet, leading_minors_jet, series_jets
 from .linalg import SYMBOLIC_COFACTOR_CAP, ExactMatrix, det
 from .multirat import MultiRat
-from .points import Tier, ZastavaPoint, coordinate_ring
+from .points import Tier, ZastavaPoint, chart, coordinate_ring
 from .poisson import BracketTable
 from .series import series_coefficients
 
@@ -236,8 +236,9 @@ def initial_seed_sl2(point: Optional[ZastavaPoint], a: int) -> Seed:
     for m in range(1, a + 1):
         labels += [f"D_{m}", f"C_{m}"]
 
-    w_names = [f"w1_{r}" for r in range(1, a + 1)]
-    y_names = [f"y1_{r}" for r in range(1, a + 1)]
+    names = chart((a,))
+    w_names = [c for c in names if names[c][0] == "w"]
+    y_names = [c for c in names if names[c][0] == "y"]
 
     def build() -> tuple[MultiRat, ...]:
         if a > SYMBOLIC_COFACTOR_CAP:
@@ -268,20 +269,15 @@ def sample_chart_point(degrees: Sequence[int], rng: random.Random) -> dict[str, 
     """Random admissible chart assignment over a degree vector: all w_{i,r}
     at once from ``_CHART_VALUES`` without replacement (so distinct and
     nonzero), then each y_{i,r} from the same table, keyed in the order of
-    ``BracketTable.coordinates`` (per color, its w and then its y).  A
-    degree sum above the table size raises ValueError before any draw."""
+    ``points.chart``.  A degree sum above the table size raises ValueError
+    before any draw."""
     total = sum(degrees)
     if total > len(_CHART_VALUES):
         raise ValueError(f"degrees {tuple(degrees)} need {total} distinct w, above the "
                          f"{len(_CHART_VALUES)} nonzero values the sampler draws")
     ws = iter(rng.sample(_CHART_VALUES, total))
-    out = {}
-    for i, a in enumerate(degrees, start=1):
-        for r in range(1, a + 1):
-            out[f"w{i}_{r}"] = next(ws)
-        for r in range(1, a + 1):
-            out[f"y{i}_{r}"] = rng.choice(_CHART_VALUES)
-    return out
+    return {c: next(ws) if k == "w" else rng.choice(_CHART_VALUES)
+            for c, (k, _, _) in chart(degrees).items()}
 
 
 def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: Optional[random.Random] = None) -> dict:
@@ -290,7 +286,7 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
     At each accepted point every variable is taken once as a jet (exact
     value and gradient over ``table.coordinates``, see ``Seed.jets``); the
     bracket of a pair is grad(x)^T Pi(p) grad(x') with Pi(p) the coordinate
-    brackets at the point on ``table.support``, the nonzero ones only.  A jet
+    brackets at the point from ``table.brackets``, the nonzero ones only.  A jet
     is integers N = ``x.nums`` over one denominator D (``zastava.jet``), so
     grad(x) = N[1:]/D and x = N_0/D, and D cancels between the bracket and
     the product: {x, x'}/(x x') = (N[1:]^T Pi N'[1:]) / (N_0 N'_0).  Pi(p)
@@ -304,7 +300,6 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
         rng = random.Random(0)
     coords = table.coordinates
     pos = {c: k for k, c in enumerate(coords, start=1)}
-    coord_pairs = [((pos[u], u), (pos[v], v)) for u, v in table.support]
     index_pairs = list(itertools.combinations(range(len(seed.labels)), 2))
     values: list[list[Fraction]] = [[] for _ in index_pairs]
     accepted = drawn = 0
@@ -323,8 +318,7 @@ def log_canonicity_check(seed: Seed, table: BracketTable, trials: int = 5, rng: 
             vanished |= zero
             continue
         accepted += 1
-        pis = [(iu, iv, pi) for (iu, u), (iv, v) in coord_pairs
-               if (pi := table.coordinate_bracket(u, v, pt))]
+        pis = [(pos[u], pos[v], pi) for u, v, pi in table.brackets(pt) if pi]
         lift = lcm(*(pi.denominator for _, _, pi in pis))
         pis = [(iu, iv, pi.numerator * (lift // pi.denominator)) for iu, iv, pi in pis]
         # h = L Pi^T N, indexed like N (entry 0 stays 0), so that L N^T Pi N' = h . N'

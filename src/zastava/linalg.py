@@ -137,7 +137,7 @@ def _det_cofactor(m: ExactMatrix) -> object:
     def minor(row: int, cols: tuple[int, ...]) -> object:
         if len(cols) == 1:
             return m.entries[row][cols[0]]
-        if row == m.rows - len(cols) and cols in cache:
+        if cols in cache:  # row = n - len(cols) on every call
             return cache[cols]
         acc = None
         for pos, c in enumerate(cols):
@@ -147,8 +147,7 @@ def _det_cofactor(m: ExactMatrix) -> object:
             if pos % 2:
                 term = -term
             acc = term if acc is None else acc + term
-        if row == m.rows - len(cols):
-            cache[cols] = acc
+        cache[cols] = acc
         return acc
 
     return minor(0, tuple(range(n)))

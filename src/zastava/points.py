@@ -319,22 +319,27 @@ def eta_shift(pt: ZastavaPoint, i: int) -> ZastavaPoint:
 # -- chart coordinates ------------------------------------------------------
 
 
-def coordinate_ring(degrees: Sequence[int]) -> Ring:
-    """Ring over w_{i,r}, y_{i,r} (colors numbered from 1)."""
-    names = []
+def chart(degrees: Sequence[int], extended: bool = False) -> dict[str, tuple[str, int, int]]:
+    """The chart's coordinate names in chart order, each mapped to (kind,
+    color, index): per color (numbered from 1) its w, then its y, then B_i
+    when extended; "w3_2" -> ("w", 3, 2), "B3" -> ("B", 3, 0)."""
+    out = {}
     for i, a in enumerate(degrees, start=1):
-        names += [f"w{i}_{r}" for r in range(1, a + 1)]
-        names += [f"y{i}_{r}" for r in range(1, a + 1)]
-    return Ring(tuple(names))
+        out.update({f"w{i}_{r}": ("w", i, r) for r in range(1, a + 1)})
+        out.update({f"y{i}_{r}": ("y", i, r) for r in range(1, a + 1)})
+        if extended:
+            out[f"B{i}"] = ("B", i, 0)
+    return out
+
+
+def coordinate_ring(degrees: Sequence[int]) -> Ring:
+    """Ring over the chart coordinates w_{i,r}, y_{i,r}, in chart order."""
+    return Ring(tuple(chart(degrees)))
 
 
 def coordinate_assignment(pt: ZastavaPoint) -> dict[str, Fraction]:
-    """Map coordinate variable names to the point's values."""
+    """Map the chart coordinates, in chart order, to the point's values."""
     if not pt.has_coords:
         raise ValueError("coordinate form required")
-    out: dict[str, Fraction] = {}
-    for i, (ws, ys) in enumerate(zip(pt.w, pt.y), start=1):
-        for r, (wv, yv) in enumerate(zip(ws, ys), start=1):
-            out[f"w{i}_{r}"] = wv
-            out[f"y{i}_{r}"] = yv
-    return out
+    return {c: (pt.w if k == "w" else pt.y)[i - 1][r - 1]
+            for c, (k, i, r) in chart(pt.degrees).items()}

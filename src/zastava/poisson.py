@@ -9,9 +9,9 @@ polynomials — is checked symbolically in exact arithmetic.  The coordinate
 brackets and the symplectic inverse are also stated at a point, where the
 pointwise checks evaluate them without forming the rational functions.
 
-Brackets are formed only on a table's ``support``, the pairs that can be
-nonzero, in closed form; a patch of ``coordinate_bracket`` that makes
-another pair nonzero must also patch ``support``.
+The coordinate brackets that are not identically zero are stated once, in
+closed form, by ``BracketTable.brackets``; every other reader takes them
+from there.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import ExactMatrix
 from .multirat import MultiRat, Ring
+from .points import chart
 from .rootdata import RootDatum
 
 _HALF = Fraction(1, 2)
@@ -57,19 +58,13 @@ class BracketTable:
             raise ValueError(f"degrees must be nonnegative, not {tuple(self.degrees)}")
         if not any(self.degrees):  # an empty chart would pass every check unchecked
             raise ValueError(f"at least one degree must be positive, not {tuple(self.degrees)}")
-        # coordinate name -> (kind, color, index): "w3_2" -> ("w", 3, 2), "B3" -> ("B", 3, 0)
-        index = {}
-        for i, a in enumerate(self.degrees, start=1):
-            index.update({f"w{i}_{r}": ("w", i, r) for r in range(1, a + 1)})
-            index.update({f"y{i}_{r}": ("y", i, r) for r in range(1, a + 1)})
-            if self.extended:
-                index[f"B{i}"] = ("B", i, 0)
+        index = chart(self.degrees, self.extended)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ring", Ring(tuple(index) + tuple(self.extra)))
 
-    @property
+    @cached_property
     def coordinates(self) -> tuple[str, ...]:
-        return self.ring.names[: len(self.ring.names) - len(self.extra)]
+        return tuple(self.index)
 
     def var(self, name: str) -> MultiRat:
         return self.ring.rat_var(name)
@@ -84,47 +79,49 @@ class BracketTable:
             return self.var, self._zero
         return point.__getitem__, Fraction(0)
 
+    def brackets(self, point: Optional[Mapping[str, Fraction]] = None) -> Iterator[tuple[str, str, object]]:
+        """(a, b, {a, b}) for each pair a before b in chart order whose bracket
+        is not identically zero, in the order of ``itertools.combinations``;
+        the value is a rational function, or its value at ``point`` when given.
+
+          {w_{i,r}, y_{i,r}} = d_i w y (trigonometric) or d_i y (rational);
+          {y_{i,r}, B_i} = (d_i / 2) B_i y, on a trigonometric extended chart;
+          {y_{i,r}, y_{j,s}} = P_ij K(w_{i,r}, w_{j,s}) y y' for colors i < j
+            with P_ij != 0, K(x, x') = (x + x') / (2 (x - x')) (trigonometric)
+            or 1 / (x - x') (rational).
+        """
+        x = self._chart(point)[0]
+        d, P = self.datum.d, self.datum.pairing
+        trig = self.kind == "trigonometric"
+        with_B = trig and self.extended
+        ys = [(c, j, s) for c, (k, j, s) in self.index.items() if k == "y"]
+        for c, (k, i, r) in self.index.items():
+            if k == "w":
+                y = f"y{i}_{r}"
+                yield c, y, d[i - 1] * (x(c) * x(y) if trig else x(y))
+            elif k == "y":
+                if with_B:
+                    yield c, f"B{i}", Fraction(d[i - 1], 2) * x(f"B{i}") * x(c)
+                for y, j, s in ys:
+                    if j > i and (p := P[i - 1][j - 1]):
+                        w1, w2 = x(f"w{i}_{r}"), x(f"w{j}_{s}")
+                        num = (w1 + w2) * _HALF if trig else 1
+                        yield c, y, p * num / (w1 - w2) * x(c) * x(y)
+
     def coordinate_bracket(self, a: str, b: str, point: Optional[Mapping[str, Fraction]] = None):
-        """{a, b} for coordinate names a, b, as a rational function, or its
-        value at ``point`` when given; a name outside the chart raises
-        ValueError."""
+        """{a, b} for coordinate names a, b, read from ``rules``, or from
+        ``brackets(point)`` when ``point`` is given; a name outside the chart
+        raises ValueError."""
         for c in (a, b):
             if c not in self.index:
                 raise ValueError(f"{c!r} is not a coordinate of the chart with degrees "
                                  f"{self.degrees}{' (extended)' if self.extended else ''}")
-        (ka, ia, ra), (kb, ib, rb) = self.index[a], self.index[b]
-        if ka > kb or (ka == kb and (ia, ra) > (ib, rb)):
-            return -self.coordinate_bracket(b, a, point)
-        x, zero = self._chart(point)
-        d = self.datum.d
-        trig = self.kind == "trigonometric"
-        if (ka, kb) == ("w", "y") and (ia, ra) == (ib, rb):
-            return d[ia - 1] * (x(a) * x(b) if trig else x(b))
-        if (ka, kb) == ("y", "y") and ia != ib:
-            w1, w2 = x(f"w{ia}_{ra}"), x(f"w{ib}_{rb}")
-            num = (w1 + w2) * _HALF if trig else 1
-            return self.datum.pairing[ia - 1][ib - 1] * num / (w1 - w2) * x(a) * x(b)
-        if (ka, kb) == ("B", "y") and trig and ia == ib:
-            return Fraction(-d[ia - 1], 2) * x(a) * x(b)
-        return zero
-
-    @cached_property
-    def support(self) -> tuple[tuple[str, str], ...]:
-        """The pairs (a, b), a before b in chart order, whose bracket can be
-        nonzero, in the order of ``itertools.combinations``: (w_{i,r},
-        y_{i,r}); (y_{i,r}, B_i) on a trigonometric extended chart; and
-        (y_{i,r}, y_{j,s}) for colors i < j."""
-        with_B = self.extended and self.kind == "trigonometric"
-        ys = [(c, i) for c, (k, i, _) in self.index.items() if k == "y"]
-        pairs = []
-        for c, (k, i, r) in self.index.items():
-            if k == "w":
-                pairs.append((c, f"y{i}_{r}"))
-            elif k == "y":
-                if with_B:
-                    pairs.append((c, f"B{i}"))
-                pairs += [(c, y) for y, j in ys if j > i]
-        return tuple(pairs)
+        values = self.rules if point is None else {(u, v): pi for u, v, pi in self.brackets(point)}
+        if (a, b) in values:
+            return values[a, b]
+        if (b, a) in values:
+            return -values[b, a]
+        return self._chart(point)[1]
 
     def gradient(self, f: MultiRat) -> dict[str, MultiRat]:
         """The nonzero partials of f, as a {coordinate: partial} map."""
@@ -132,17 +129,16 @@ class BracketTable:
 
     @cached_property
     def rules(self) -> dict[tuple[str, str], MultiRat]:
-        """The nonzero {a, b} for a before b in chart order, formed once per
-        table by ``coordinate_bracket`` on the ``support`` pairs only: a patch
-        of that method must be in place before the table's first pairing, and
-        one that makes a pair outside the support nonzero must patch it too."""
-        return {p: r for p in self.support if not (r := self.coordinate_bracket(*p)).is_zero}
+        """The symbolic ``brackets``, {(a, b): {a, b}}, formed once per table:
+        a patch of ``brackets`` must be in place before the table's first
+        read of them."""
+        return {(a, b): r for a, b, r in self.brackets()}
 
     def pairing(self, df: Mapping[str, MultiRat], dg: Mapping[str, MultiRat]) -> MultiRat:
         """The bivector on two differentials given as {coordinate: partial}
         maps: the Leibniz sum of {a, b} (df_a dg_b - df_b dg_a) over ``rules``
-        (formed on the ``support`` pairs at the table's first pairing),
-        skipping a rule when neither product has both factors."""
+        (the brackets that are not identically zero, formed at the table's
+        first pairing), skipping a rule when neither product has both factors."""
         total = zero = self._zero
         for (a, b), rule in self.rules.items():
             term = df[a] * dg[b] if a in df and b in dg else zero
@@ -187,10 +183,9 @@ def jacobi_report(table: BracketTable) -> dict:
 
 def bivector_matrix(table: BracketTable, point: Optional[Mapping[str, Fraction]] = None) -> ExactMatrix:
     """Matrix of {x_a, x_b} over the chart coordinates, in chart order;
-    symbolic, or at ``point`` when given.  Only the ``support`` pairs are
-    formed; every other entry is zero."""
-    return _antisymmetric(table, point, (
-        (a, b, table.coordinate_bracket(a, b, point)) for a, b in table.support))
+    symbolic, or at ``point`` when given.  Only the pairs of ``brackets``
+    are formed; every other entry is zero."""
+    return _antisymmetric(table, point, table.brackets(point))
 
 
 def _antisymmetric(table: BracketTable, point, entries) -> ExactMatrix:
@@ -331,7 +326,7 @@ def verify_descent(datum: RootDatum, degrees: Sequence[int], kind: str) -> dict:
 
     The dw_{i,p} entry -R_i'(w_{i,p}) is formed only when a pairing reads
     it, with the slope R_i' formed once per color.  The shipped rules never
-    read it: the support pairs w_{i,p} with y_{i,p} alone, and no other
+    read it: ``brackets`` pairs w_{i,p} with y_{i,p} alone, and no other
     differential here (a gradient of Q, or dR at another root) has a
     y_{i,p} part.
     """

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .cluster import initial_seed_sl2, log_canonicity_check, sample_chart_point
 from .minors import crosscheck_three_routes
-from .points import ZastavaPoint, from_coords
+from .points import ZastavaPoint, chart, from_coords
 from .poisson import BracketTable, jacobi_report, symplectic_check_trig, verify_descent
 from .rootdata import datum
 from .superpotential import SuperData, verify_gw_w
@@ -66,9 +66,9 @@ class Sampled:
 
 def random_sl2_point(a: int, rng: random.Random) -> ZastavaPoint:
     """Rank-one trigonometric point on one chart from ``sample_chart_point``."""
-    chart = sample_chart_point((a,), rng)
-    ws = [chart[f"w1_{r}"] for r in range(1, a + 1)]
-    ys = [chart[f"y1_{r}"] for r in range(1, a + 1)]
+    values, names = sample_chart_point((a,), rng), chart((a,))
+    ws = [v for c, v in values.items() if names[c][0] == "w"]
+    ys = [v for c, v in values.items() if names[c][0] == "y"]
     return from_coords(datum("A1"), [ws], [ys], require_trigonometric=True)
 
 

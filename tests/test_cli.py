@@ -152,6 +152,9 @@ _POINT_DOCS = {
     "object-coeffs": {"type": "A1", "Q": [{"-1": 0, "1": 0}], "R": [[]]},
     # a well-formed point of rank two, for the rank-one minor routes
     "rank-two": {"type": "A2", "Q": [["-1", "1"], ["-2", "1"]], "R": [["3"], ["4"]]},
+    # points without a chart: Q = (z - 1)(z - 3) splits, Q = z^2 - 2 does not
+    "bare": {"type": "A1", "Q": [["3", "-4", "1"]], "R": [["1", "1"]]},
+    "no-chart": {"type": "A1", "Q": [["-2", "0", "1"]], "R": [["1", "1"]]},
 }
 
 
@@ -191,6 +194,8 @@ _POINT_DOCS = {
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "1", "--check", "descent",
      "--trials", "3"],
     ["cluster", "--a", "2", "--trials", "3"],
+    ["super", "--point", "no-chart.json", "--K", "z^2+1"],
+    ["super", "--point", "bare.json", "--K", "z+1;z"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
         "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
         "sampler-bound", "no-trials", "negative-degree", "logcanon-sampler-bound",
@@ -199,7 +204,7 @@ _POINT_DOCS = {
         "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes",
         "bench-cofactor-sylvester-8", "bench-cofactor-hankel-14", "verify-trials-ignored",
         "verify-point-ignored", "symplectic-rational", "jacobi-trials", "descent-trials",
-        "cluster-trials-without-check"])
+        "cluster-trials-without-check", "super-no-chart", "super-K-count"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
@@ -411,6 +416,17 @@ def test_super_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["exact_part"] == "23" and data["boundary"] == "-8"
     assert data["identity"]["ok"]
+
+
+def test_super_point_without_coordinates(tmp_path, capsys):
+    # a point file with Q and R only: the chart comes from the roots of Q
+    bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+    bare.write_text(json.dumps(_POINT_DOCS["bare"]))
+    main(["point", "--w", "1,3", "--y", "2,4", "--out", str(full)])
+    capsys.readouterr()
+    runs = [_run(["super", "--point", str(f), "--K", "z^2+z+1", "--verify"], capsys)
+            for f in (bare, full)]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 def test_cluster_point_without_coordinates(tmp_path, capsys):

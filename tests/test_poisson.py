@@ -100,15 +100,23 @@ _SUPPORT_CONFIGS = sorted(set(_BRACKET_CONFIGS) | set(_DESCENT_CONFIGS))
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_support_holds_every_nonzero_bracket(label, degrees, kind, extended):
-    """Every pair outside ``support`` has a zero bracket, the support is in
-    chart order, and ``rules`` equals the nonzero brackets over all pairs."""
+    """``brackets`` lists its pairs (the support of the bracket) a before b,
+    in the order of ``itertools.combinations``, the same pairs symbolically
+    and at a point, each with a bracket that is not identically zero (at a
+    point with w = -w' a trigonometric {y, y'} is 0); ``rules`` holds
+    exactly those pairs and values, in that order.  That no nonzero pair is
+    missing is checked by B*Omega = I, the descent substitution route and
+    the Jacobi cyclic sums."""
     extra = ("z", "u") if extended else ()
     table = BracketTable(datum(label), degrees, kind, extended=extended, extra=extra)
-    pairs = list(itertools.combinations(table.coordinates, 2))
-    support = set(table.support)
-    assert list(table.support) == [p for p in pairs if p in support]
-    assert all(table.coordinate_bracket(*p).is_zero for p in pairs if p not in support)
-    assert list(table.rules) == [p for p in pairs if not table.coordinate_bracket(*p).is_zero]
+    listed = list(table.brackets())
+    pairs = [(a, b) for a, b, _ in listed]
+    support = set(pairs)
+    assert pairs == [p for p in itertools.combinations(table.coordinates, 2) if p in support]
+    assert not any(value.is_zero for _, _, value in listed)
+    assert list(table.rules.items()) == [((a, b), value) for a, b, value in listed]
+    at_point = list(table.brackets(_chart_point(table, random.Random(1))))
+    assert [(a, b) for a, b, _ in at_point] == pairs
 
 
 def test_bracket_antisymmetry_and_leibniz():
@@ -205,7 +213,10 @@ def _chart_point(table, rng):
     return {c: w for c, w in zip(table.coordinates, ws)}
 
 
-@pytest.mark.parametrize("dat, degrees", [(A1, (2,)), (A2, (2, 1))])
+# C3 (1,1,1) and D4 (2,1,1,1) have non-adjacent colors, whose P_ij = 0
+# pairs ``brackets`` leaves out
+@pytest.mark.parametrize("dat, degrees", [(A1, (2,)), (A2, (2, 1)), (datum("C3"), (1, 1, 1)),
+                                          (D4, (2, 1, 1, 1))])
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 @pytest.mark.parametrize("extended", [False, True])
 def test_coordinate_bracket_at_point_matches_symbolic(dat, degrees, kind, extended):
@@ -263,25 +274,20 @@ def test_bracket_checks_hold_off_the_cartan_matrices(kind, degrees):
 
 def _changed_bracket(monkeypatch, pair, change):
     """Patch BracketTable so that the coordinate bracket {pair} (and, by
-    antisymmetry, its reverse) becomes change(its value).  ``rules`` reads
-    only the ``support`` pairs, so a pair outside a table's support joins
-    it, in chart order."""
-    original = BracketTable.coordinate_bracket
-    support = BracketTable.support
+    antisymmetry, its reverse) becomes change(its value).  A pair that
+    ``brackets`` leaves out, its bracket being zero, joins it last."""
+    original = BracketTable.brackets
 
-    def patched(self, a, b, point=None):
-        value = original(self, a, b, point)
-        return change(value) if (a, b) == pair else value
+    def patched(self, point=None):
+        found = False
+        for a, b, value in original(self, point):
+            if (a, b) == pair:
+                found, value = True, change(value)
+            yield a, b, value
+        if not found:
+            yield (*pair, change(self._chart(point)[1]))
 
-    def widened(self):
-        pairs = support.__get__(self, BracketTable)
-        if pair in pairs:
-            return pairs
-        pos = self.coordinates.index
-        return tuple(sorted([*pairs, pair], key=lambda p: (pos(p[0]), pos(p[1]))))
-
-    monkeypatch.setattr(BracketTable, "coordinate_bracket", patched)
-    monkeypatch.setattr(BracketTable, "support", property(widened))
+    monkeypatch.setattr(BracketTable, "brackets", patched)
 
 
 def _scaled_bracket(monkeypatch, pair, scale):
