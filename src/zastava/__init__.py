@@ -1,6 +1,23 @@
 """Exact arithmetic toolkit for trigonometric zastava points: Hankel and
 wedge minors, Poisson bracket checks, cluster seeds, and the superpotential."""
 
+# the largest modules first: compiled from source before the other modules'
+# code objects sit on the heap, they raise the import's peak memory least
+from .multirat import MultiPoly, MultiRat, Ring
+from .poisson import (
+    BracketTable,
+    jacobi_check,
+    jacobi_report,
+    symplectic_check_trig,
+    verify_descent,
+)
+from .cluster import (
+    ExchangeMatrix,
+    Seed,
+    initial_seed_sl2,
+    log_canonicity_check,
+    mutate,
+)
 from .linalg import (
     ExactMatrix,
     det,
@@ -19,7 +36,6 @@ from .minors import (
     generalized_minor_v1,
     wedge_entry,
 )
-from .multirat import MultiPoly, MultiRat, Ring
 from .points import (
     GMatrix,
     Tier,
@@ -31,20 +47,6 @@ from .points import (
     from_coords,
     g_matrix,
     recover_coords,
-)
-from .poisson import (
-    BracketTable,
-    jacobi_check,
-    jacobi_report,
-    symplectic_check_trig,
-    verify_descent,
-)
-from .cluster import (
-    ExchangeMatrix,
-    Seed,
-    initial_seed_sl2,
-    log_canonicity_check,
-    mutate,
 )
 from .rootdata import RootDatum, datum
 from .series import InfSeries, series_coefficients, series_expand

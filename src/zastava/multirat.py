@@ -249,17 +249,19 @@ class MultiPoly(_Fields):
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Value at an assignment of exact numbers or of jets
-        (``zastava.jet.Jet``); names outside the ring are ignored."""
-        vals = [assignment.get(n) for n in self.ring.names]
+        (``zastava.jet.Jet``), each power of a variable formed once; names
+        outside the ring are ignored."""
+        powers = {}  # (variable index, exponent) -> power
         total = Fraction(0)
         for key, c in self.terms.items():
-            t = c
             for i, k in enumerate(self.ring.unpack(key)):
                 if k:
-                    if vals[i] is None:
-                        raise ValueError(f"unassigned variable {self.ring.names[i]}")
-                    t *= vals[i] ** k
-            total += t
+                    if (i, k) not in powers:
+                        if (v := assignment.get(self.ring.names[i])) is None:
+                            raise ValueError(f"unassigned variable {self.ring.names[i]}")
+                        powers[i, k] = v ** k
+                    c *= powers[i, k]
+            total += c
         return self.content * total
 
     def __str__(self) -> str:

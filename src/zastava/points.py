@@ -20,7 +20,7 @@ from .multirat import Ring
 from .rational import format_scalar, parse_scalar
 from .rootdata import RootDatum, datum
 from .series import InfSeries, series_expand
-from .unipoly import UniPoly, _horner, lagrange_interpolate, poly_gcd, rational_roots
+from .unipoly import UniPoly, _horner, _interpolate, _ratio, poly_gcd, rational_roots
 
 
 class Tier(Enum):
@@ -37,20 +37,39 @@ def _classify(Q: UniPoly, R: UniPoly) -> Tier:
     return Tier.TRIGONOMETRIC
 
 
-def _on_chart(Q: UniPoly, R: UniPoly, w: Fraction, y: Fraction) -> bool:
-    """Q(w) = 0 and R(w) = y, by integer Horner on w = p/q with the value
-    of R cross-multiplied against y."""
-    p, q = w.numerator, w.denominator
-    if _horner(Q.nums, p, q):
-        return False
-    scale = R.den * q ** max(len(R.nums) - 1, 0)
-    return _horner(R.nums, p, q) * y.denominator == y.numerator * scale
+def _on_chart(Q: UniPoly, R: UniPoly, ws: Sequence[tuple[int, int]], ys: Sequence[Fraction]) -> bool:
+    """Q(w) = 0 and R(w) = y at each w = p/q, given as (p, q), by integer
+    Horner with the value of R cross-multiplied against y."""
+    n = max(len(R.nums) - 1, 0)
+    return not any(_horner(Q.nums, p, q) or _horner(R.nums, p, q) * y.denominator
+                   != y.numerator * R.den * q**n for (p, q), y in zip(ws, ys))
 
 
-def _distinct(ws: Sequence[Fraction]) -> bool:
-    """Whether the values are pairwise distinct, compared as (numerator,
-    denominator) pairs rather than through Fraction hashes."""
-    return len({(v.numerator, v.denominator) for v in ws}) == len(ws)
+def _checked(pt: "ZastavaPoint") -> list[list[tuple[int, int]]]:
+    """Every check of a point but that its chart lies on (Q, R); returns the
+    w of each color as (numerator, denominator) pairs (none without a chart)."""
+    rank = pt.datum.rank
+    if len(pt.Q) != rank or len(pt.R) != rank:
+        raise ValueError("one (Q_i, R_i) pair per color required")
+    for q, r in zip(pt.Q, pt.R):
+        if not q.is_monic:  # the zero polynomial is not monic
+            raise ValueError("each Q_i must be monic of degree >= 0")
+        if len(r.nums) >= len(q.nums):
+            raise ValueError("deg R_i must be < deg Q_i")
+    if (pt.w is None) != (pt.y is None):
+        raise ValueError("coordinate form requires both w and y")
+    if pt.w is None:
+        return []
+    if len(pt.w) != rank or len(pt.y) != rank:
+        raise ValueError("coordinate lists must match the degrees")
+    pairs = []
+    for q, ws, ys in zip(pt.Q, pt.w, pt.y):
+        if not len(ws) == len(ys) == len(q.nums) - 1:
+            raise ValueError("coordinate lists must match the degrees")
+        pairs.append([(v.numerator, v.denominator) for v in ws])
+        if len(set(pairs[-1])) < len(ws):
+            raise ValueError("repeated roots within a color")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -62,27 +81,9 @@ class ZastavaPoint:
     y: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     def __post_init__(self):
-        if len(self.Q) != self.datum.rank or len(self.R) != self.datum.rank:
-            raise ValueError("one (Q_i, R_i) pair per color required")
-        for q, r in zip(self.Q, self.R):
-            if q.degree is None or not q.is_monic:
-                raise ValueError("each Q_i must be monic of degree >= 0")
-            if not r.is_zero and r.degree >= q.degree:
-                raise ValueError("deg R_i must be < deg Q_i")
-        if (self.w is None) != (self.y is None):
-            raise ValueError("coordinate form requires both w and y")
-        if self.w is not None:
-            if len(self.w) != self.datum.rank or len(self.y) != self.datum.rank:
-                raise ValueError("coordinate lists must match the degrees")
-            for q, r, ws, ys in zip(self.Q, self.R, self.w, self.y):
-                a = q.degree
-                if len(ws) != a or len(ys) != a:
-                    raise ValueError("coordinate lists must match the degrees")
-                if not _distinct(ws):
-                    raise ValueError("repeated roots within a color")
-                for wv, yv in zip(ws, ys):
-                    if not _on_chart(q, r, wv, yv):
-                        raise ValueError("coordinate form inconsistent with (Q, R)")
+        for q, r, ws, ys in zip(self.Q, self.R, _checked(self), self.y or ()):
+            if not _on_chart(q, r, ws, ys):
+                raise ValueError("coordinate form inconsistent with (Q, R)")
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -121,13 +122,13 @@ class ZastavaPoint:
     def to_json(self) -> dict:
         out = {
             "type": self.datum.label,
-            "degrees": list(self.degrees),
+            "degrees": [len(q.nums) - 1 for q in self.Q],
             "Q": [q.to_json() for q in self.Q],
             "R": [r.to_json() for r in self.R],
         }
         if self.w is not None:
-            out["w"] = [[format_scalar(v) for v in ws] for ws in self.w]
-            out["y"] = [[format_scalar(v) for v in ys] for ys in self.y]
+            out["w"] = [list(map(format_scalar, ws)) for ws in self.w]
+            out["y"] = [list(map(format_scalar, ys)) for ys in self.y]
         return out
 
     @staticmethod
@@ -144,8 +145,8 @@ class ZastavaPoint:
                 )
             w = y = None
             if "w" in data:
-                w = tuple(tuple(parse_scalar(v) for v in ws) for ws in data["w"])
-                y = tuple(tuple(parse_scalar(v) for v in ys) for ys in data["y"])
+                w = tuple(tuple(map(parse_scalar, ws)) for ws in data["w"])
+                y = tuple(tuple(map(parse_scalar, ys)) for ys in data["y"])
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed point document: {exc!r}") from exc
         return ZastavaPoint(dat, Q, R, w, y)
@@ -171,37 +172,46 @@ def from_coords(
 
     Q_i has roots w_{i,*}; R_i is the Lagrange interpolant through
     (w_{i,r}, y_{i,r}).  Roots must be distinct per color, and nonzero when
-    the trigonometric tier is required.
+    the trigonometric tier is required; a float value raises TypeError.
     """
     w = tuple(map(_fractions, w))
     y = tuple(map(_fractions, y))
-    Qs, Rs = [], []
-    for ws, ys in zip(w, y):
-        Qs.append(UniPoly.from_roots(ws))
-        Rs.append(lagrange_interpolate(list(zip(ws, ys))))
-    pt = ZastavaPoint(dat, tuple(Qs), tuple(Rs), w, y)
+    QR = [_interpolate(ws, ys) for ws, ys in zip(w, y)]
+    pt = _trusted(dat, tuple(q for q, _ in QR), tuple(r for _, r in QR), w, y)
     if require_trigonometric and pt.tier is not Tier.TRIGONOMETRIC:
         raise ValueError("point is not on the trigonometric tier (gcd or zero root)")
     return pt
 
 
 def _fractions(vs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """The values as Fractions, keeping each Fraction as it is."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vs)
+    """The values as Fractions, keeping each Fraction as it is; a float
+    raises TypeError."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(*_ratio(v)) for v in vs)
+
+
+def _trusted(dat: RootDatum, Q: tuple, R: tuple, w=None, y=None) -> ZastavaPoint:
+    """A point whose chart and (Q, R) the caller has just derived from each
+    other: every check of ZastavaPoint but the Horner test of the chart."""
+    pt, put = object.__new__(ZastavaPoint), object.__setattr__
+    put(pt, "datum", dat)  # in field order, as the dataclass does, so the fields stay compact
+    put(pt, "Q", Q)
+    put(pt, "R", R)
+    put(pt, "w", w)
+    put(pt, "y", y)
+    _checked(pt)
+    return pt
 
 
 def recover_coords(pt: ZastavaPoint) -> ZastavaPoint:
     """Attach the coordinate chart when every Q_i splits over the rationals."""
     if pt.has_coords:
         return pt
-    ws, ys = [], []
-    for q, r in zip(pt.Q, pt.R):
-        roots = rational_roots(q)
-        if len(roots) != q.degree:
+    ws = []
+    for q in pt.Q:
+        ws.append(tuple(rational_roots(q)))
+        if len(ws[-1]) != q.degree:
             raise ValueError("Q does not split over the rationals")
-        ws.append(tuple(roots))
-        ys.append(tuple(r(x) for x in roots))
-    return ZastavaPoint(pt.datum, pt.Q, pt.R, tuple(ws), tuple(ys))
+    return _trusted(pt.datum, pt.Q, pt.R, tuple(ws), tuple(tuple(map(r, x)) for r, x in zip(pt.R, ws)))
 
 
 # -- Bezout completion and the loop-group matrix ---------------------------
@@ -298,19 +308,9 @@ def eta_shift(pt: ZastavaPoint, i: int) -> ZastavaPoint:
     """
     if pt.tier is not Tier.TRIGONOMETRIC:
         raise ValueError("eta shift is defined on the trigonometric tier")
-    a = pt.degrees[i]
-    lead = pt.R[i].coeff(a - 1)
-    newR = pt.R[i].shift(1) - pt.Q[i] * lead
-    assert newR.is_zero or newR.degree < a
-    R = list(pt.R)
-    R[i] = newR
-    w = y = None
-    if pt.has_coords:
-        w = pt.w
-        y = list(pt.y)
-        y[i] = tuple(newR(wv) for wv in pt.w[i])
-        y = tuple(y)
-    out = ZastavaPoint(pt.datum, pt.Q, tuple(R), w, y)
+    newR = pt.R[i].shift(1) - pt.Q[i] * pt.R[i].coeff(pt.degrees[i] - 1)
+    y = pt.y and (*pt.y[:i], tuple(map(newR, pt.w[i])), *pt.y[i + 1:])
+    out = _trusted(pt.datum, pt.Q, (*pt.R[:i], newR, *pt.R[i + 1:]), pt.w, y)
     if out.tier is not Tier.TRIGONOMETRIC:
         raise AssertionError("eta shift left the trigonometric tier")
     return out

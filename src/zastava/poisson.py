@@ -21,7 +21,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import ExactMatrix
@@ -224,12 +224,22 @@ def symplectic_form_trig(table: BracketTable, point: Optional[Mapping[str, Fract
     return _antisymmetric(table, point, entries)
 
 
+# the plain trigonometric table of a chart, built once per (datum, degrees)
+_trig_table = lru_cache(maxsize=32)(partial(BracketTable, kind="trigonometric"))
+
+
 def symplectic_check_trig(datum: RootDatum, degrees: Sequence[int], point: dict) -> dict:
     """Evaluate bivector and closed-form inverse at a point, which maps the
     coordinates to exact scalars (the w's distinct and nonzero, the y's
-    nonzero); assert B*Omega = I."""
-    table = BracketTable(datum, tuple(degrees), "trigonometric")
+    nonzero); assert B*Omega = I.  A missing coordinate raises ValueError
+    and a value that is not an int or a Fraction TypeError."""
+    table = _trig_table(datum, tuple(degrees))
     coords = table.coordinates
+    for c in coords:
+        if c not in point:
+            raise ValueError(f"the point has no value for the coordinate {c}")
+        if not isinstance(point[c], (int, Fraction)):
+            raise TypeError(f"the value {point[c]!r} of {c} is not an exact scalar")
     if any(point[c] == 0 for c in coords):
         raise ValueError("zero coordinate value")
     allw = [point[c] for c in coords if c.startswith("w")]

@@ -27,6 +27,9 @@ def parse_ratio(s: str | int) -> tuple[int, int]:
         return s, 1
     if not isinstance(s, str):
         raise TypeError(f"scalar must be a 'p/q' string or an int, not {s!r}")
+    num, slash, den = s.partition("/")  # the forms format_ratio writes, read without the pattern
+    if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit() and den.strip("0")):
+        return int(num), int(den or 1)
     m = _RATIO.fullmatch(s)
     if m is None:
         if any(ch in s for ch in ".eE"):

@@ -58,7 +58,10 @@ class UniPoly:
         nums, den = [1], 1
         for w in roots:
             p, q = _ratio(w)
-            nums = [q * b - p * a for a, b in zip(nums + [0], [0] + nums)]
+            nums.append(0)  # times (q z - p), in place from the top
+            for k in range(len(nums) - 1, 0, -1):
+                nums[k] = q * nums[k - 1] - p * nums[k]
+            nums[0] *= -p
             den *= q
         return _of(nums, den)
 
@@ -155,7 +158,7 @@ class UniPoly:
         if not isinstance(data, (list, tuple)):
             raise TypeError(f"coefficient list expected, not {type(data).__name__}")
         pairs = [parse_ratio(c) for c in data]
-        den = lcm(*(q for _, q in pairs))
+        den = lcm(*[q for _, q in pairs])
         return _of([p * (den // q) for p, q in pairs], den)
 
     def __str__(self) -> str:
@@ -199,8 +202,11 @@ def _init(p: UniPoly, nums: list[int], den: int) -> None:
 
 def _ratio(x: Fraction | int) -> tuple[int, int]:
     """(numerator, denominator) of an exact scalar, read off an int or a
-    Fraction as it is and through Fraction() for anything else."""
+    Fraction as it is and through Fraction() for anything but a float, which
+    raises TypeError."""
     if not isinstance(x, (int, Fraction)):
+        if isinstance(x, float):
+            raise TypeError(f"float {x!r} is not exact")
         x = Fraction(x)
     return x.numerator, x.denominator
 
@@ -268,31 +274,31 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def lagrange_interpolate(nodes: Sequence[tuple[Fraction, Fraction]]) -> UniPoly:
-    """The unique polynomial of degree < len(nodes) through the given points.
+    """The unique polynomial of degree < len(nodes) through the given points,
+    whose abscissae must be pairwise distinct."""
+    return _interpolate([w for w, _ in nodes], [v for _, v in nodes])[1]
 
-    Node abscissae must be pairwise distinct.  With B_r the integer product
-    of (q_s z - p_s) over s != r, the interpolant is sum_r v_r B_r / B_r(w_r),
-    its numerators summed over the lcm of the denominators and normalised once.
-    """
-    ws = [_ratio(w) for w, _ in nodes]
-    if len(set(ws)) != len(ws):
+
+def _interpolate(ws: Sequence[Fraction], vs: Sequence[Fraction]) -> tuple[UniPoly, UniPoly]:
+    """Q = prod (z - w) and the interpolant sum_r v_r B_r / B_r(w_r) through
+    the (w, v), with B_r = Q / (z - w_r) read off the integer numerators of Q."""
+    pairs = [_ratio(w) for w in ws]
+    if len(set(pairs)) != len(pairs):
         raise ValueError("repeated abscissa in interpolation nodes")
-    # the product of all the (q_s z - p_s): primitive, so normalising keeps it whole
-    full = UniPoly.from_roots(w for w, _ in nodes).nums
-    terms = []  # (q_r^(n-1) v_r B_r numerators, their denominator q_r^(n-1) B_r(w_r))
-    for (p, q), (_, v) in zip(ws, nodes):
+    Q = UniPoly.from_roots(ws)
+    terms = []  # (B_r numerators, their scale, their denominator)
+    for (p, q), v in zip(pairs, vs):
         vp, vq = _ratio(v)
         if vp:
-            basis = _div_linear(full, p, q)
-            scale = vp * q ** (len(basis) - 1)
-            terms.append(([c * scale for c in basis], _horner(basis, p, q) * vq))
-    den = lcm(*(d for _, d in terms))
-    out = [0] * (len(full) - 1)
-    for nums, d in terms:
-        m = den // d
-        for k, c in enumerate(nums):
-            out[k] += c * m
-    return _of(out, den)
+            basis = _div_linear(Q.nums, p, q)
+            terms.append((basis, vp * q ** (len(basis) - 1), _horner(basis, p, q) * vq))
+    den = lcm(*[d for _, _, d in terms])
+    out = [0] * (len(Q.nums) - 1)
+    for basis, scale, d in terms:
+        scale *= den // d
+        for k, c in enumerate(basis):
+            out[k] += c * scale
+    return Q, _of(out, den)
 
 
 # Largest constant or leading coefficient rational_roots searches the
@@ -303,11 +309,12 @@ RATIONAL_ROOT_BOUND = 2**40
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of p, with multiplicity: z = 0 first, then ascending.
 
-    Runs the rational-root test on the integer numerators: each coprime
-    candidate c/d with c | constant and d | leading coefficient is tested by
-    integer Horner and divided out exactly.  Raises ValueError when the
-    constant or leading numerator (after pulling out z = 0) exceeds
-    RATIONAL_ROOT_BOUND.
+    The rational-root test on the integer numerators P: a coprime c/d, c |
+    constant and d | leading coefficient, is tried by Horner only if (d - c)
+    | P(1) and (d + c) | P(-1) (Gauss's lemma).  Each root is divided out
+    and the candidates shrink with P; a last linear factor is read off.
+    Raises ValueError when the constant or leading numerator (after pulling
+    out z = 0) exceeds RATIONAL_ROOT_BOUND.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -321,16 +328,27 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
             "cleared, exceeds the divisor-search limit 2^40"
         )
     roots: list[Fraction] = []
-    dens = _divisors(work[-1])
-    for c in _divisors(work[0]):
-        for d in dens:
-            if gcd(c, d) != 1:
-                continue
-            for cand in (c, -c):
-                while len(work) > 1 and _horner(work, cand, d) == 0:
-                    roots.append(Fraction(cand, d))
-                    work = _div_linear(work, cand, d)
-    return [Fraction(0)] * zeros + sorted(roots)
+    cs, ds = _divisors(work[0]), _divisors(work[-1])
+    while len(work) > 2 and (root := _first_root(work, cs, ds)):
+        work = _div_linear(work, *root)
+        roots.append(Fraction(*root))
+        cs = [a for a in cs if a >= abs(root[0]) and not work[0] % a]
+        ds = [d for d in ds if not work[-1] % d]
+    if len(work) == 2:
+        roots.append(Fraction(-work[0], work[1]))
+    den = lcm(*[r.denominator for r in roots])  # sorted on exact integer keys
+    return [Fraction(0)] * zeros + sorted(roots, key=lambda r: r.numerator * (den // r.denominator))
+
+
+def _first_root(work: list[int], cs: list[int], ds: list[int]) -> Optional[tuple[int, int]]:
+    """The first coprime root c/d of work with |c| in cs and d in ds."""
+    p1, m1 = sum(work), _horner(work, -1, 1)
+    for a in cs:
+        for d in ds:
+            if gcd(a, d) == 1:
+                for c in (a, -a):
+                    if not (d - c and p1 % (d - c) or d + c and m1 % (d + c) or _horner(work, c, d)):
+                        return c, d
 
 
 def _divisors(n: int) -> list[int]:

@@ -398,3 +398,28 @@ def test_polynomials_are_immutable_and_hash_by_value(ring_terms):
     for left, right in pairs:
         assert left == right and hash(left) == hash(right)
         assert {left: 1}[right] == 1
+
+
+def _term_by_term(p: MultiPoly, vals: dict):
+    """The value of p with every power formed afresh for each term."""
+    total = 0
+    for key, c in p.terms.items():
+        t = c
+        for name, k in zip(p.ring.names, p.ring.unpack(key)):
+            if k:
+                t = t * vals[name] ** k
+        total = total + t
+    return p.content * total
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rats(), st.fixed_dictionaries(
+    {v: st.fractions(min_value=-4, max_value=4, max_denominator=3) for v in ("x", "y", "z")}))
+def test_evaluate_reuses_powers_without_changing_the_value(a, point):
+    names = ("x", "y", "z")
+    jets = {v: Jet.coordinate(v, point, names) for v in names}
+    for p in (a.top, (a * a).top):
+        assert p.evaluate(point) == _term_by_term(p, point)
+        zero = Jet.constant(0, 3)  # a constant polynomial evaluates to a Fraction
+        got, ref = zero + p.evaluate(jets), zero + _term_by_term(p, jets)
+        assert (got.value, got.grad) == (ref.value, ref.grad)

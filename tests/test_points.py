@@ -316,3 +316,62 @@ def _charted_points(draw):
 def test_tier_from_chart_matches_gcd(pt):
     assert pt.has_coords
     assert pt.tier is _tier_by_gcd(pt)
+
+
+_COORD = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def _coords(draw):
+    """A root datum and per color distinct w (sorted, zero first) and any y."""
+    label, degs = draw(st.sampled_from([("A1", (1,)), ("A1", (3,)), ("A1", (5,)), ("A2", (2, 1)),
+                                        ("A2", (0, 2))]))
+    ws = [sorted(draw(st.lists(_COORD, min_size=a, max_size=a, unique=True)), key=lambda v: (v != 0, v))
+          for a in degs]
+    ys = [draw(st.lists(_COORD, min_size=a, max_size=a)) for a in degs]
+    return datum(label), ws, ys
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coords())
+def test_trusted_points_equal_validated_ones(case):
+    """from_coords, recover_coords and eta_shift build points without the
+    Horner test of the chart; the validating constructor accepts each of
+    them and gives an equal point, and the bare document recovers it."""
+    dat, ws, ys = case
+    pt = from_coords(dat, ws, ys)
+    assert ZastavaPoint(dat, pt.Q, pt.R, pt.w, pt.y) == pt
+    doc = pt.to_json()
+    assert ZastavaPoint.from_json(doc) == pt
+    bare = {k: v for k, v in doc.items() if k not in ("w", "y")}
+    assert recover_coords(ZastavaPoint.from_json(bare)) == pt
+    if pt.tier is Tier.TRIGONOMETRIC:
+        for i in range(dat.rank):
+            e = eta_shift(pt, i)
+            assert ZastavaPoint(dat, e.Q, e.R, e.w, e.y) == e
+
+
+def test_trusted_constructors_keep_their_messages():
+    with pytest.raises(ValueError, match="coordinate lists must match the degrees"):
+        from_coords(A1, [[F(1), F(2)]], [[F(3)]])
+    with pytest.raises(ValueError, match="coordinate lists must match the degrees"):
+        from_coords(A1, [[F(1)]], [[F(3), F(4)]])
+    with pytest.raises(ValueError, match="coordinate lists must match the degrees"):
+        from_coords(A1, [[F(1)]], [[F(3)], [F(4)]])
+    with pytest.raises(ValueError, match=r"one \(Q_i, R_i\) pair per color"):
+        from_coords(A2, [[F(1)]], [[F(3)]])
+    with pytest.raises(ValueError, match="repeated abscissa"):
+        from_coords(A1, [[F(2), F(2)]], [[F(3), F(4)]])
+    double = ZastavaPoint(A1, (UniPoly.from_roots([F(1, 2), F(1, 2), F(3)]),), (UniPoly([1]),))
+    with pytest.raises(ValueError, match="repeated roots within a color"):
+        recover_coords(double)
+    with pytest.raises(ValueError, match="does not split"):
+        recover_coords(ZastavaPoint(A1, (UniPoly([2, 0, 1]),), (UniPoly([1]),)))
+
+
+@pytest.mark.parametrize("w, y", [([[0.1, 2]], [[1, 3]]), ([[1, 2]], [[F(1), 2.5]])])
+def test_from_coords_refuses_floats(w, y):
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        from_coords(A1, w, y)
+    assert from_coords(A1, [[1, 2]], [[1, 3]]) == from_coords(A1, [[F(1), F(2)]], [[F(1), F(3)]])

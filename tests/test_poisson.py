@@ -515,3 +515,11 @@ def test_symplectic_form_leaves_no_reference_cycle():
         symplectic_form_trig(table, pt)
         symplectic_form_trig(table)
     assert gc.collect() == 0
+
+
+def test_symplectic_check_names_a_missing_or_inexact_coordinate():
+    with pytest.raises(ValueError, match="y1_1"):
+        symplectic_check_trig(A1, (1,), {"w1_1": F(2)})
+    with pytest.raises(TypeError, match="y1_1"):
+        symplectic_check_trig(A1, (1,), {"w1_1": F(2), "y1_1": 0.5})
+    assert symplectic_check_trig(A1, (1,), {"w1_1": 2, "y1_1": F(3)})["ok"]

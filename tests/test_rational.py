@@ -99,3 +99,44 @@ def test_unipoly_codec_matches_fraction_route(coeffs, k):
 def test_format_ratio_matches_str():
     for p, q in [(0, 5), (-6, 4), (7, 1), (2**70, 2**71), (-3, 3)]:
         assert format_ratio(p, q) == str(F(p, q))
+
+
+# the forms format_ratio writes, their neighbours, and characters the
+# ASCII fast path of parse_ratio must hand on to the pattern: whitespace,
+# a non-ASCII decimal digit, a superscript digit and a fullwidth digit
+_FAST_PATH_TEXT = st.text(alphabet="0123456789-+/_ \t٣²０", max_size=9)
+_PATTERN = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+
+
+def _pattern_only(s: str) -> tuple[int, int]:
+    """The scalar grammar read by the pattern alone, with its refusals."""
+    m = _PATTERN.fullmatch(s)
+    if m is None:
+        raise ValueError(s)
+    q = 1 if m[2] is None else int(m[2])
+    if not q:
+        raise ValueError(s)
+    return int(m[1]), q
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FAST_PATH_TEXT)
+@example("-12/35")
+@example("-0")
+@example("007/010")
+@example("1/00")
+@example("--1")
+@example("-/2")
+@example("1/2/3")
+@example("٣/4")
+@example("²")
+@example("０/1")
+@example("1_0")
+def test_parse_ratio_fast_path_matches_the_pattern(s):
+    try:
+        expected = _pattern_only(s)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_ratio(s)
+        return
+    assert parse_ratio(s) == expected

@@ -1,8 +1,8 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zastava.unipoly import (
     UniPoly,
@@ -262,3 +262,54 @@ def test_roots_and_interpolation_match_fraction_reference(ws, ys):
 def test_shift_and_derivative():
     assert UniPoly([1, 1]).shift(2) == UniPoly([0, 0, 1, 1])
     assert UniPoly([3, -4, 1]).derivative() == UniPoly([-4, 2])
+
+
+def _divisors_of(n: int) -> list[int]:
+    n = abs(n)
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def _divisor_search(p: UniPoly) -> list[F]:
+    """Every rational root of p with multiplicity, by testing each c/d with c
+    dividing the constant and d the leading numerator, unpruned."""
+    zeros = next(k for k, c in enumerate(p.nums) if c)
+    rest = UniPoly(p.coeffs[zeros:])
+    found = []
+    for c in _divisors_of(rest.nums[0]):
+        for d in _divisors_of(rest.nums[-1]):
+            for x in {F(c, d), F(-c, d)}:
+                while rest.degree and rest(x) == 0:
+                    found.append(x)
+                    rest = poly_divmod(rest, UniPoly([-x, 1]))[0]
+    return [F(0)] * zeros + sorted(found)
+
+
+_ROOTS = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROOTS, st.booleans(), st.fractions(min_value=-7, max_value=7, max_denominator=5))
+@example([F(2), F(2), F(2), F(-1, 3), F(-1, 3)], False, F(1))
+@example([F(0), F(0), F(5, 4)], True, F(-3, 2))
+@example([F(1), F(-1), F(1, 2), F(-1, 2)], True, F(1))
+@example([], True, F(2))
+def test_rational_roots_match_the_divisor_search(roots, quadratic, scale):
+    """Products of (q z - p) with repeated roots, roots at zero and an
+    irreducible quadratic factor (z^2 + 2z + 3): the pruned search finds what
+    the full divisor search finds, in its order."""
+    if scale == 0:
+        scale = F(1)
+    p = UniPoly.from_roots(roots) * scale
+    if quadratic:
+        p = p * UniPoly([3, 2, 1])
+    expected = sorted(roots, key=lambda x: (x != 0, x))
+    assert rational_roots(p) == expected == _divisor_search(p)
+
+
+def test_rational_roots_splits_a_degree_twelve_product():
+    # constant 12! and leading coefficient 1, then with denominators 1..4
+    roots = [F((-1) ** k * (k + 1)) for k in range(12)]
+    assert rational_roots(UniPoly.from_roots(roots)) == sorted(roots)
+    roots = [F(k, 1 + k % 4) for k in range(-6, 7) if k]
+    assert rational_roots(UniPoly.from_roots(roots)) == sorted(roots)
