@@ -1,24 +1,19 @@
-"""Determinant-strategy benchmark with a value-agreement preflight.
+"""Exactness preflight for the benchmark: the two determinant routes agree.
 
-Emits CSV rows (strategy, family, size, entry bit-length, median wall time
-in nanoseconds).  Values are asserted equal across strategies before any
-timing is recorded.
+``preflight`` takes the determinant of random rational matrices by
+fraction-free Bareiss on an integer lift and by cofactor expansion on the
+``Fraction`` entries, and requires the two values to be equal.  The
+benchmark (``perfbench/run.py``) records no timing unless it passes.
 """
 
 from __future__ import annotations
 
 import random
-import statistics
-import time
 from fractions import Fraction
-from typing import Sequence
 
-from .linalg import ExactMatrix, det, hankel_matrix, sylvester_matrix
-from .series import InfSeries
-from .unipoly import UniPoly
+from .linalg import ExactMatrix, det
 
-STRATEGIES = ("bareiss", "cofactor", "division_free")
-CSV_HEADER = "strategy,family,size,bit_length,median_ns"
+STRATEGIES = ("bareiss", "cofactor")
 
 
 def _random_matrix(n: int, rng: random.Random, bound: int = 99) -> ExactMatrix:
@@ -41,60 +36,3 @@ def preflight(seed: int = 0, count: int = 30, max_size: int = 8) -> dict:
             return {"ok": False, "instance": k, "size": n,
                     "values": {s: str(v) for s, v in vals.items()}}
     return {"ok": True, "count": count, "max_size": max_size}
-
-
-def _instance(family: str, size: int, rng: random.Random) -> ExactMatrix:
-    if family == "hankel":
-        coeffs = [Fraction(rng.randint(-999, 999)) for _ in range(2 * size - 1)]
-        return hankel_matrix(InfSeries(tuple(coeffs)), size)
-    if family == "sylvester":
-        # size = degree a; the matrix is (2a-1) x (2a-1)
-        Q = UniPoly([Fraction(rng.randint(-9, 9)) for _ in range(size)] + [Fraction(1)])
-        R = UniPoly([Fraction(rng.randint(-9, 9)) for _ in range(size)])
-        return sylvester_matrix(Q, R)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _bit_length(m: ExactMatrix) -> int:
-    out = 1
-    for row in m.entries:
-        for v in row:
-            out = max(out, v.numerator.bit_length(), v.denominator.bit_length())
-    return out
-
-
-def bench(family: str, sizes: Sequence[int], strategies: Sequence[str] = STRATEGIES,
-          seed: int = 0, repeats: int = 5) -> list[dict]:
-    """Median wall time per (strategy, size); one shared instance per size."""
-    rng = random.Random(seed)
-    rows = []
-    for size in sizes:
-        m = _instance(family, size, rng)
-        values = {s: det(m, strategy=s) for s in strategies}
-        if len(set(values.values())) != 1:
-            raise AssertionError(f"strategy disagreement at {family} size {size}")
-        for s in strategies:
-            samples = []
-            for _ in range(repeats):
-                t0 = time.perf_counter_ns()
-                det(m, strategy=s)
-                samples.append(time.perf_counter_ns() - t0)
-            rows.append(
-                {
-                    "strategy": s,
-                    "family": family,
-                    "size": size,
-                    "bit_length": _bit_length(m),
-                    "median_ns": int(statistics.median(samples)),
-                }
-            )
-    return rows
-
-
-def format_csv(rows: Sequence[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['strategy']},{r['family']},{r['size']},{r['bit_length']},{r['median_ns']}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,11 @@
-"""Command-line entry point: verification pipelines, JSON I/O, benchmark.
+"""Command-line entry point: verification pipelines and JSON I/O.
 
 All exact values serialize as decimal-free "p/q" strings.  The RNG seed
 defaults to 0, can be set with --rng, and is overridden by the ZASTAVA_RNG
 environment variable.  Exit status is 0 when no check failed, 1 when one
-did, and 2 on bad input: flags that do not combine, a size past a cap, or an
-error raised while the input is read, each reported as a JSON object with a
-"reason" on stderr.
+did, and 2 on bad input: flags that do not combine, a size past a cap, an
+error raised while the input is read, or an output path that cannot be
+written, each reported as a JSON object with a "reason" on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import bench as bench_mod
 from .cluster import initial_seed_sl2, log_canonicity_check, mutate, sample_chart_point
 from .minors import _point_qr, crosscheck_three_routes
 from .points import ZastavaPoint, coordinate_assignment, from_coords, recover_coords
@@ -34,8 +33,9 @@ from .verify import _PROFILES, run_profile
 
 @contextmanager
 def _reading():
-    """An error raised while user input is read ends the run with exit
-    status 2 and one JSON object with its reason on stderr."""
+    """An error raised while user input is read, or while an output file
+    is written, ends the run with exit status 2 and one JSON object with
+    its reason on stderr."""
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -66,7 +66,7 @@ def _emit(data, path: str | None) -> None:
         if limit:
             sys.set_int_max_str_digits(limit)
     if path:
-        with open(path, "w") as fh:
+        with _reading(), open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -110,20 +110,6 @@ def _seed_from(args) -> int:
         with _reading():
             return int(env)
     return args.rng
-
-
-# largest matrix `bench` runs the memoized cofactor strategy on: with
-# --repeats 1 (Python 3.11, 2 vCPUs), 13 x 13 (hankel 13, sylvester 7) took
-# 0.5 s and 21 MB peak, 15 x 15 (sylvester 8) 2.2 s and 31 MB; each added
-# dimension about doubles the time
-_COFACTOR_MAX_DIM = 13
-
-
-def _parse_sizes(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",")]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -337,47 +323,6 @@ def cmd_super(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    with _reading():
-        sizes = _parse_sizes(args.sizes)
-        if not sizes or min(sizes) < 1:  # no instance below size 1; an empty list measures nothing
-            raise ValueError(f"--sizes must name sizes of at least 1, not {args.sizes!r}")
-        if args.repeats < 1:  # the median of no samples is undefined
-            raise ValueError(f"--repeats must be at least 1, not {args.repeats}")
-        strategies = tuple(args.strategies.split(","))
-        for s in strategies:
-            if s not in bench_mod.STRATEGIES:
-                raise ValueError(
-                    f"unknown determinant strategy {s!r}; "
-                    f"choose from {', '.join(bench_mod.STRATEGIES)}"
-                )
-        # a sylvester matrix of size a is (2a-1) x (2a-1)
-        top = 2 * max(sizes) - 1 if args.family == "sylvester" else max(sizes)
-        if "cofactor" in strategies and top > _COFACTOR_MAX_DIM:
-            raise ValueError(
-                f"the cofactor strategy runs on at most {_COFACTOR_MAX_DIM} x "
-                f"{_COFACTOR_MAX_DIM} matrices; {args.family} size {max(sizes)} is {top} x {top}"
-            )
-    pre = bench_mod.preflight(seed=_seed_from(args))
-    if not pre["ok"]:
-        sys.stderr.write(f"preflight failed: {json.dumps(_jsonable(pre))}\n")
-        return 1
-    rows = bench_mod.bench(
-        args.family,
-        sizes,
-        strategies=strategies,
-        seed=_seed_from(args),
-        repeats=args.repeats,
-    )
-    text = bench_mod.format_csv(rows)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_point(args) -> int:
     if args.validate:
         with _reading():
@@ -392,7 +337,8 @@ def cmd_point(args) -> int:
         y = [_scalar_list(t) for t in args.y.split(";")]
         pt = from_coords(dat, w, y, require_trigonometric=args.trigonometric)
     if args.out:
-        pt.save(args.out)
+        with _reading():
+            pt.save(args.out)
     _emit(pt.to_json(), args.output)
     return 0
 
@@ -408,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, *output_aliases):
         sp.add_argument("--rng", type=int, default=0,
                         help="RNG seed (default 0; env ZASTAVA_RNG overrides)")
-        sp.add_argument("--output", *output_aliases, help="write JSON/CSV here instead of stdout")
+        sp.add_argument("--output", *output_aliases, help="write JSON here instead of stdout")
 
     sp = sub.add_parser("verify", help="run a named verification profile")
     sp.add_argument("--profile", required=True,
@@ -450,14 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also check the series-coefficient identity")
     common(sp)
     sp.set_defaults(fn=cmd_super)
-
-    sp = sub.add_parser("bench", help="determinant strategy benchmark (CSV)")
-    sp.add_argument("--family", required=True, choices=["hankel", "sylvester"])
-    sp.add_argument("--sizes", required=True, help='e.g. "2..10" or "2,4,8"')
-    sp.add_argument("--strategies", default=",".join(bench_mod.STRATEGIES))
-    sp.add_argument("--repeats", type=int, default=5)
-    common(sp)
-    sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("point", help="construct or validate point files")
     sp.add_argument("--type", default="A1")

@@ -1,15 +1,15 @@
 """Exact matrices, determinant strategies, and structured determinants.
 
-Covers the three cross-checking determinant routes (fraction-free Bareiss
-on an integer lift, cofactor expansion with memoization, and Bird's
-division-free scheme), Hankel matrices/minors of a Laurent series, the
-Sylvester matrix in the row arrangement used throughout this package, and
-the odd/even sub-resultant minors cut from it.  One Bareiss step on integer
-rows, ``_eliminate``, runs behind ``_det_int`` (with row swaps: ``det``,
-``solve_linear`` on the augmented rows, the per-index Hankel minors,
-sub-resultants and wedge windows) and ``_leading_minors`` (without: all
-leading principal minors from one pass, as the three-route crosscheck of
-``zastava.minors`` reads them).
+Covers the two cross-checking determinant routes (fraction-free Bareiss
+on an integer lift, and cofactor expansion with memoization, which takes
+ring entries and is the test reference), Hankel matrices/minors of a
+Laurent series, the Sylvester matrix in the row arrangement used
+throughout this package, and the odd/even sub-resultant minors cut from
+it.  One Bareiss step on integer rows, ``_eliminate``, runs behind
+``_det_int`` (with row swaps: ``det``, ``solve_linear`` on the augmented
+rows, the per-index Hankel minors, sub-resultants and wedge windows) and
+``_leading_minors`` (without: all leading principal minors from one pass,
+as the three-route crosscheck of ``zastava.minors`` reads them).
 """
 
 from __future__ import annotations
@@ -153,44 +153,16 @@ def _det_cofactor(m: ExactMatrix) -> object:
     return minor(0, tuple(range(n)))
 
 
-def _det_division_free(m: ExactMatrix) -> Fraction:
-    """Bird's division-free determinant (O(n^4) ring operations)."""
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m.entries]
-    x = [row[:] for row in a]
-    for _ in range(n - 1):
-        # mu(x): strictly upper part kept, lower part zeroed, diagonal entry
-        # i replaced by -(x[i+1][i+1] + ... + x[n-1][n-1])
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        tail = Fraction(0)
-        for i in range(n - 1, -1, -1):
-            mu[i][i] = -tail
-            tail += x[i][i]
-            for j in range(i + 1, n):
-                mu[i][j] = x[i][j]
-        x = [
-            [
-                sum((mu[i][k] * a[k][j] for k in range(n)), start=Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    d = x[0][0]
-    return d if n % 2 else -d
-
-
 _STRATEGIES: dict[str, Callable[[ExactMatrix], object]] = {
     "bareiss": _det_bareiss,
     "cofactor": _det_cofactor,
-    "division_free": _det_division_free,
 }
 
 
 def det(m: ExactMatrix, strategy: str = "bareiss") -> object:
-    """Exact determinant; ``strategy`` in {bareiss, cofactor, division_free}.
+    """Exact determinant; ``strategy`` in {bareiss, cofactor}.
 
+    Bareiss runs on a common-denominator integer lift of the entries.
     Matrices with symbolic (MultiRat) entries must use the cofactor
     strategy and are capped at 6x6.
     """

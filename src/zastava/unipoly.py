@@ -309,12 +309,13 @@ RATIONAL_ROOT_BOUND = 2**40
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of p, with multiplicity: z = 0 first, then ascending.
 
-    The rational-root test on the integer numerators P: a coprime c/d, c |
-    constant and d | leading coefficient, is tried by Horner only if (d - c)
-    | P(1) and (d + c) | P(-1) (Gauss's lemma).  Each root is divided out
-    and the candidates shrink with P; a last linear factor is read off.
-    Raises ValueError when the constant or leading numerator (after pulling
-    out z = 0) exceeds RATIONAL_ROOT_BOUND.
+    The rational-root test, by Gauss's lemma, on the primitive part P of the
+    integer numerators (their gcd divided out, which leaves the roots
+    unchanged): a coprime c/d, c | constant and d | leading coefficient, is
+    tried by Horner only if (d - c) | P(1) and (d + c) | P(-1).  Each root
+    is divided out and the candidates shrink with P; a last linear factor
+    is read off.  Raises ValueError when the constant or leading
+    coefficient of P (after pulling out z = 0) exceeds RATIONAL_ROOT_BOUND.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -322,10 +323,12 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     work = list(p.nums[zeros:])
     if len(work) == 1:
         return [Fraction(0)] * zeros
+    g = gcd(*work)
+    work = [c // g for c in work]
     if max(abs(work[0]), abs(work[-1])) > RATIONAL_ROOT_BOUND:
         raise ValueError(
             "rational_roots: constant or leading coefficient, with denominators "
-            "cleared, exceeds the divisor-search limit 2^40"
+            "cleared and the content divided out, exceeds the divisor-search limit 2^40"
         )
     roots: list[Fraction] = []
     cs, ds = _divisors(work[0]), _divisors(work[-1])

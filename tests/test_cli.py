@@ -166,7 +166,6 @@ _POINT_DOCS = {
     ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "1", "--check", "jacobi"],
     ["cluster", "--a", "0"],
     ["cluster", "--a", "2", "--point", "wide.json"],
-    ["bench", "--family", "hankel", "--sizes", "2", "--strategies", "bareiss,foo"],
     ["point", "--validate", "string-coeffs.json"],
     ["point", "--validate", "object-coeffs.json"],
     ["poisson", "--kind", "trig", "--type", "A1", "--degrees", "51", "--check", "symplectic"],
@@ -179,13 +178,6 @@ _POINT_DOCS = {
     ["poisson", "--kind", "trig", "--type", "A2", "--degrees", "0,0", "--check", "jacobi"],
     ["minors", "--point", "rank-two.json"],
     ["verify", "--profile", "sl2hank", "--point", "rank-two.json"],
-    ["bench", "--family", "sylvester", "--sizes", "2", "--repeats", "0"],
-    ["bench", "--family", "sylvester", "--sizes", "2", "--repeats", "-3"],
-    ["bench", "--family", "sylvester", "--sizes", "0"],
-    ["bench", "--family", "hankel", "--sizes", "-1"],
-    ["bench", "--family", "hankel", "--sizes", "10..2"],
-    ["bench", "--family", "sylvester", "--sizes", "8"],
-    ["bench", "--family", "hankel", "--sizes", "2..14", "--strategies", "bareiss,cofactor"],
     ["verify", "--profile", "jacobi", "--trials", "3"],
     ["verify", "--profile", "gw", "--point", "pt.json"],
     ["poisson", "--kind", "rational", "--type", "A1", "--degrees", "1", "--check", "symplectic"],
@@ -196,15 +188,16 @@ _POINT_DOCS = {
     ["cluster", "--a", "2", "--trials", "3"],
     ["super", "--point", "no-chart.json", "--K", "z^2+1"],
     ["super", "--point", "bare.json", "--K", "z+1;z"],
+    ["point", "--w", "1,2", "--y", "3,4", "--out", "missing/x.json"],
+    ["verify", "--profile", "gw", "--trials", "1", "--output", "missing/o.json"],
 ], ids=["type-tag", "bad-scalar", "no-type", "missing-file", "degree-count", "cluster-a0",
-        "root-search-bound", "bench-strategy", "string-coeffs", "object-coeffs",
+        "root-search-bound", "string-coeffs", "object-coeffs",
         "sampler-bound", "no-trials", "negative-degree", "logcanon-sampler-bound",
         "zero-degree-jacobi", "zero-degree-descent", "zero-degree-symplectic",
-        "zero-degrees-a2", "minors-rank-two", "verify-rank-two", "bench-no-repeats",
-        "bench-negative-repeats", "bench-size-0", "bench-negative-size", "bench-empty-sizes",
-        "bench-cofactor-sylvester-8", "bench-cofactor-hankel-14", "verify-trials-ignored",
+        "zero-degrees-a2", "minors-rank-two", "verify-rank-two", "verify-trials-ignored",
         "verify-point-ignored", "symplectic-rational", "jacobi-trials", "descent-trials",
-        "cluster-trials-without-check", "super-no-chart", "super-K-count"])
+        "cluster-trials-without-check", "super-no-chart", "super-K-count",
+        "point-out-unwritable", "verify-output-unwritable"])
 def test_bad_input_reports_json_with_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, doc in _POINT_DOCS.items():
@@ -353,16 +346,6 @@ def test_poisson_caps_the_jacobi_and_descent_charts(capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
-def test_bench_cofactor_bound_allows_criterion_sizes(capsys):
-    # the cap is on the cofactor matrix: other strategies run past it, and
-    # hankel 2..10 (acceptance criterion 12) stays allowed
-    code, out = _run(["bench", "--family", "hankel", "--sizes", "2..10", "--repeats", "1"], capsys)
-    assert code == 0 and len(out.splitlines()) == 1 + 9 * 3
-    code, _ = _run(["bench", "--family", "sylvester", "--sizes", "8", "--repeats", "1",
-                    "--strategies", "bareiss"], capsys)
-    assert code == 0
-
-
 def test_cluster_log_canonical_beyond_symbolic_cap(capsys):
     code, out = _run(
         ["cluster", "--a", "7", "--check", "log-canonical", "--trials", "3"], capsys
@@ -452,18 +435,13 @@ def test_cluster_refuses_a_mutation_undefined_at_the_point(tmp_path, capsys):
     assert code == 0 and json.loads(out)["values_at_point"]["D_1"] == "0"
 
 
-def test_bench_command(capsys):
-    code, out = _run(
-        ["bench", "--family", "hankel", "--sizes", "2,3", "--repeats", "1"], capsys
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "strategy,family,size,bit_length,median_ns"
-    assert len(lines) > 1
-    for line in lines[1:]:
-        strat, fam, size, bits, med = line.split(",")
-        assert fam == "hankel" and int(size) in (2, 3)
-        assert int(bits) >= 0 and int(med) > 0
+def test_bench_is_not_a_subcommand(capsys):
+    # perfbench is the benchmark; the command line times nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--family", "hankel", "--sizes", "2,3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'bench'" in captured.err
 
 
 def test_output_file(tmp_path, capsys):

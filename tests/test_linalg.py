@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from zastava import linalg
+from zastava.bench import preflight
 from zastava.linalg import (
     ExactMatrix,
     det,
@@ -18,7 +20,7 @@ from zastava.linalg import (
 from zastava.series import InfSeries, series_expand
 from zastava.unipoly import UniPoly
 
-STRATEGIES = ("bareiss", "cofactor", "division_free")
+STRATEGIES = ("bareiss", "cofactor")
 
 
 def test_det_examples():
@@ -43,6 +45,18 @@ def test_strategy_agreement_random():
         )
         vals = {det(m, strategy=s) for s in STRATEGIES}
         assert len(vals) == 1
+
+
+def test_preflight_reports_a_disagreeing_route(monkeypatch):
+    assert preflight()["ok"]
+    bareiss = linalg._STRATEGIES["bareiss"]
+    monkeypatch.setitem(linalg._STRATEGIES, "bareiss", lambda m: bareiss(m) + 1)
+    pre = preflight()
+    assert not pre["ok"]
+    assert pre["instance"] == 0 and 1 <= pre["size"] <= 8
+    values = pre["values"]
+    assert set(values) == {"bareiss", "cofactor"}
+    assert F(values["bareiss"]) == F(values["cofactor"]) + 1
 
 
 def test_hankel_matrix():

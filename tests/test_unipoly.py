@@ -123,6 +123,15 @@ def test_rational_roots_rejects_wide_coefficients():
     assert rational_roots(UniPoly([-(2**40), 1])) == [F(2**40)]
 
 
+def test_rational_roots_search_the_primitive_part():
+    # the gcd of the numerators is divided out first: z^2 + 1 times a number
+    # with 6720 divisors searches only 1 and -1, and 2^41 (z - 1)(z - 2) is
+    # within the limit
+    assert rational_roots(UniPoly([963761198400, 0, 963761198400])) == []
+    assert rational_roots(UniPoly.from_roots([1, 2]) * 2**41) == [F(1), F(2)]
+    assert rational_roots(UniPoly([0, 0, -(2**50), 2**50]) * F(1, 3)) == [F(0), F(0), F(1)]
+
+
 def test_json_round_trip():
     p = UniPoly([F(1, 3), F(-2), F(0), F(5)])
     assert UniPoly.from_json(p.to_json()) == p
